@@ -53,7 +53,7 @@ from .harness import (
     run_protocol,
 )
 from .infotheory import leakage
-from .ldpc import PRESETS, load_code, to_alist
+from .ldpc import load_code, to_alist
 from .softening import MonotonicityConfig, build_transform, enumerate_configs, soften
 
 log = logging.getLogger("softrec")
@@ -63,12 +63,6 @@ ANALYTIC_LEAKAGE_MAX = 1e-6
 MC_LEAKAGE_MAX = 1e-3
 KS_LEVEL = 0.01
 MC_BINS = 20
-
-# Test seam: when set, the audit builds its transforms through this callable
-# (signature: (channel, config) -> SofteningTransform) instead of
-# build_transform. Lets a harness inject a deliberately broken transform and
-# assert the audit catches it.
-_AUDIT_TRANSFORM_HOOK = None
 
 
 class UsageError(Exception):
@@ -249,11 +243,6 @@ def _cmd_ber_sweep(args) -> int:
     resolved = _resolve(args, "ber-sweep")
     _setup_logging(resolved)
     c = _parse_constellation(resolved["constellation"])
-    code_src = str(resolved["code"])
-    try:
-        load_code(code_src)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     frames = int(resolved["frames"])
     if frames < 1:
         raise UsageError("frames must be >= 1")
@@ -262,7 +251,7 @@ def _cmd_ber_sweep(args) -> int:
         snr_grid_db=_parse_snr(resolved["snr"]),
         schemes=_parse_schemes(resolved["schemes"]),
         configs=_parse_configs(resolved["configs"], c.order),
-        code=code_src,
+        code=str(resolved["code"]),
         alpha=float(resolved["alpha"]),
         frames_per_point=frames,
         master_seed=int(resolved["seed"]),
@@ -343,8 +332,7 @@ def _cmd_audit(args) -> int:
         (s, cf) for s in grid for cf in configs
     ):
         ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
-        build = _AUDIT_TRANSFORM_HOOK or build_transform
-        transform = build(ch, cfg)
+        transform = build_transform(ch, cfg)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
         analytic, mc, ks_min = _audit_cell(ch, transform, rng, samples)
         ok = (
@@ -382,10 +370,6 @@ def _cmd_reconcile(args) -> int:
     c = _parse_constellation(resolved["constellation"])
     snr = _parse_snr(resolved["snr"] if resolved["snr"] is not None else 3.0)
     cfg = _parse_configs(resolved["config"], c.order)[0]
-    try:
-        load_code(str(resolved["code"]))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     spec = ExperimentSpec(
         constellation=c,
         snr_grid_db=snr,
@@ -417,11 +401,7 @@ def _cmd_codegen(args) -> int:
     resolved = _resolve(args, "codegen")
     _setup_logging(resolved)
     name = str(resolved["code"])
-    try:
-        code = load_code(name)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    text = to_alist(code)
+    text = to_alist(load_code(name))
     if resolved["out"]:
         path = Path(resolved["out"])
         if path.is_dir():
@@ -506,10 +486,7 @@ def main(argv=None) -> int:
         args.code = "dvbs2-r12-64800"
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -1,18 +1,26 @@
 """End-to-end experiment orchestration with seeded reproducibility.
 
-Three layers:
+Every simulated frame, of every scheme, runs through one path, ``_frame``:
+draw symbols and channel outputs, ask the scheme for its target bits and
+soft inputs (``_soft_inputs``), take the syndrome of the target, decode
+once. The schemes differ only in that middle step: direct decodes the
+sender's bits from channel LLRs, hard reverse reconciliation decodes the
+receiver's decisions from the discrete-channel table, and softened reverse
+reconciliation (rrs) decodes them from LAPPRs of the disclosed metric.
 
-* ``run_protocol``: one reconciliation frame exactly as the protocol runs
-  it, returning both parties' bits and a transcript holding only what
-  crossed the public channel (the softened metric values and the
-  syndrome), so leakage audits can work from the transcript alone.
-* ``mi_sweep``: per-SNR mutual information curves for the direct, hard,
-  and softened reverse schemes, plus the inverse view (SNR required to
-  reach fixed MI levels) by monotone cubic interpolation.
-* ``ber_sweep``: Monte Carlo coded-BER runs for the three schemes with
-  early stopping, Wilson intervals, and per-frame seed substreams derived
-  from (master seed, grid point, scheme, config, frame index), making the
-  output a pure function of the experiment spec.
+* ``run_protocol``: one rrs frame exactly as the protocol runs it,
+  returning both parties' bits and a transcript holding only what crossed
+  the public channel (the softened metric values and the syndrome), so
+  leakage audits can work from the transcript alone.
+* ``ber_sweep``: Monte Carlo coded-BER runs with early stopping and Wilson
+  intervals. Each (snr, scheme, config) cell is a small frozen record,
+  ``_Cell``, built once before any frame runs; worker tasks are
+  ``(cell, frame index)``, and each frame seeds its generator from
+  (master seed, grid point, scheme, config, frame index), making the output
+  a pure function of the experiment spec.
+* ``mi_sweep``: per-SNR mutual information curves for the three schemes,
+  plus the inverse view (SNR required to reach fixed MI levels) by monotone
+  cubic interpolation.
 
 CSV emission uses ``repr`` for floats, so identical runs produce identical
 bytes.
@@ -23,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +48,9 @@ from .constellation import (
     map_decision_regions,
 )
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
-from .ldpc import LdpcCode, decode, load_code, syndrome
+from .ldpc import decode, load_code, syndrome
 from .metrics import LAPPR_CLAMP, LapprVector, lappr_batch
-from .softening import MonotonicityConfig, SofteningTransform, build_transform, soften
+from .softening import MonotonicityConfig, build_transform, soften
 
 __all__ = [
     "SCHEMES",
@@ -97,7 +105,8 @@ class ExperimentSpec:
         Monotonicity configs for the rrs scheme; defaults to base and
         alternating for the constellation's order. Strings accepted.
     code : str
-        Preset name, alist path, or alist text (BER sweeps only).
+        Preset name, alist path, or alist text (BER sweeps only); loaded
+        here, so a bad source fails when the spec is built.
     alpha : float
         LAPPR scaling for the rrs decoder input; > 0.
     frames_per_point : int
@@ -154,6 +163,7 @@ class ExperimentSpec:
             raise ValueError("workers must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        load_code(self.code)
 
 
 @dataclass(frozen=True)
@@ -270,47 +280,73 @@ def hard_rr_baseline_lapprs(
 # Frame simulation
 
 
-def _symbols_for(code_n: int, bits_per_symbol: int) -> int:
-    return -(-code_n // bits_per_symbol)
+@dataclass(frozen=True)
+class _Cell:
+    """One (snr, scheme, config) cell of a sweep: what all its frames share.
+
+    Built once per cell, before any frame runs; a worker task is
+    ``(cell, frame_index)``. ``point`` and ``cfg_idx`` index the spec's grid
+    and configs, and with the scheme they key each frame's seed substream.
+    """
+
+    spec: ExperimentSpec
+    point: int
+    scheme: str
+    cfg_idx: int = 0
+    channel: ChannelModel = field(init=False)
+
+    def __post_init__(self) -> None:
+        c = self.spec.constellation
+        if not c.bitmap:
+            raise ValueError("constellation has no bitmap; frames need one to map symbols to bits")
+        object.__setattr__(
+            self, "channel", ChannelModel(c, noise_variance_for_snr_db(self.snr_db, c))
+        )
+
+    @property
+    def snr_db(self) -> float:
+        return self.spec.snr_grid_db[self.point]
+
+    @property
+    def config_name(self) -> str:
+        return self.spec.configs[self.cfg_idx].name if self.scheme == "rrs" else ""
 
 
-def _draw_frame(rng, ch: ChannelModel, count: int):
+def _soft_inputs(cell: _Cell, x, y):
+    """The scheme's part of a frame: (target bits, soft inputs, disclosed metric).
+
+    The target is the bit string the decoder must reconstruct: the
+    receiver's decisions under reverse reconciliation, the sender's symbols
+    under direct. Only rrs discloses a metric; the others return None.
+    """
+    ch = cell.channel
     c = ch.constellation
-    x = rng.choice(c.order, size=count, p=c.priors)
-    y = transmit(x, ch, rng)
-    return x, y
+    if cell.scheme == "rrs":
+        transform = build_transform(ch, cell.spec.configs[cell.cfg_idx])
+        n, i = soften(y, transform)
+        return demap(i, c), lappr_batch(n, x, transform, alpha=cell.spec.alpha), n
+    if cell.scheme == "hard":
+        regions = map_decision_regions(c, ch.noise_variance)
+        return demap(decide(y, regions), c), _hard_rr_table(ch, regions, c)[x], None
+    return demap(x, c), direct_bit_llrs(y, ch, c), None
 
 
-def _frame_rrs(code, ch, transform, alpha, max_iters, rng):
-    c = ch.constellation
-    x, y = _draw_frame(rng, ch, _symbols_for(code.n, c.bits_per_symbol))
-    n, i = soften(y, transform)
-    bob = demap(i, c)[: code.n]
-    syn = syndrome(code, bob)
-    lap = lappr_batch(n, x, transform, alpha=alpha).reshape(-1)[: code.n]
-    out = decode(code, lap, syn, max_iters=max_iters)
-    return out, bob, Transcript(n_values=n, syndrome=syn)
+def _frame(cell: _Cell, rng):
+    """One frame of any scheme: draw, soft inputs, syndrome, one decode.
 
-
-def _frame_hard(code, ch, regions, max_iters, rng):
-    c = ch.constellation
-    x, y = _draw_frame(rng, ch, _symbols_for(code.n, c.bits_per_symbol))
-    i = decide(y, regions)
-    bob = demap(i, c)[: code.n]
-    syn = syndrome(code, bob)
-    lap = _hard_rr_table(ch, regions, c)[x].reshape(-1)[: code.n]
-    out = decode(code, lap, syn, max_iters=max_iters)
-    return out, bob
-
-
-def _frame_direct(code, ch, max_iters, rng):
-    c = ch.constellation
-    x, y = _draw_frame(rng, ch, _symbols_for(code.n, c.bits_per_symbol))
-    alice = demap(x, c)[: code.n]
-    syn = syndrome(code, alice)
-    lap = direct_bit_llrs(y, ch, c).reshape(-1)[: code.n]
-    out = decode(code, lap, syn, max_iters=max_iters)
-    return out, alice
+    Returns (decode outcome, target bits, syndrome, disclosed metric). Each
+    length-L bit group comes from one symbol; bits past the blocklength are
+    dropped.
+    """
+    code = load_code(cell.spec.code)
+    c = cell.channel.constellation
+    x = rng.choice(c.order, size=-(-code.n // c.bits_per_symbol), p=c.priors)
+    y = transmit(x, cell.channel, rng)
+    bits, soft, n = _soft_inputs(cell, x, y)
+    target = bits[: code.n]
+    syn = syndrome(code, target)
+    out = decode(code, soft.reshape(-1)[: code.n], syn, max_iters=cell.spec.max_iters)
+    return out, target, syn, n
 
 
 def run_protocol(spec: ExperimentSpec, seed, snr_db: float | None = None, config=None) -> ProtocolResult:
@@ -336,13 +372,11 @@ def run_protocol(spec: ExperimentSpec, seed, snr_db: float | None = None, config
     ProtocolResult
         (alice_bits, bob_bits, transcript) plus the decode outcome.
     """
-    snr = float(spec.snr_grid_db[0] if snr_db is None else snr_db)
+    snr = spec.snr_grid_db[0] if snr_db is None else snr_db
     cfg = spec.configs[0] if config is None else config
-    ch = ChannelModel(spec.constellation, noise_variance_for_snr_db(snr, spec.constellation))
-    transform = build_transform(ch, cfg)
-    code = _cached_code(spec.code)
-    rng = np.random.default_rng(seed)
-    out, bob, transcript = _frame_rrs(code, ch, transform, spec.alpha, spec.max_iters, rng)
+    cell = _Cell(replace(spec, snr_grid_db=(snr,), configs=(cfg,)), 0, "rrs")
+    out, bob, syn, n = _frame(cell, np.random.default_rng(seed))
+    transcript = Transcript(n_values=n, syndrome=syn)
     return ProtocolResult(alice_bits=out.bits, bob_bits=bob, transcript=transcript, outcome=out)
 
 
@@ -359,21 +393,19 @@ def mi_sweep(spec: ExperimentSpec, out_dir: str | Path | None = None, mi_targets
     ``snr_at_mi.csv``.
     """
     c = spec.constellation
+    grid = [(snr, ChannelModel(c, noise_variance_for_snr_db(snr, c))) for snr in spec.snr_grid_db]
     results: list[MiResult] = []
     for scheme in spec.schemes:
         if scheme == "direct":
-            for snr in spec.snr_grid_db:
-                ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+            for snr, ch in grid:
                 val, err = mi_direct(ch, with_error=True)
                 results.append(MiResult(snr, "direct", "", val, err))
         elif scheme == "hard":
-            for snr in spec.snr_grid_db:
-                ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+            for snr, ch in grid:
                 results.append(MiResult(snr, "hard", "", mi_hard(ch), 0.0))
         else:
             for cfg in spec.configs:
-                for snr in spec.snr_grid_db:
-                    ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+                for snr, ch in grid:
                     transform = build_transform(ch, cfg)
                     val, err = mi_rrs(transform, with_error=True)
                     results.append(MiResult(snr, "rrs", cfg.name, val, err))
@@ -432,37 +464,18 @@ def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
 _SCHEME_INDEX = {s: k for k, s in enumerate(SCHEMES)}
 _BATCH = 16  # stop-rule evaluation granularity, fixed so results do not depend on workers
 
-_CODE_CACHE: dict[str, LdpcCode] = {}
-
-
-def _cached_code(source: str) -> LdpcCode:
-    code = _CODE_CACHE.get(source)
-    if code is None:
-        code = load_code(source)
-        _CODE_CACHE[source] = code
-    return code
-
 
 def _ber_frame(task) -> FrameResult:
-    (code_src, c, snr, scheme, cfg_signs, alpha, max_iters, master, point, cfg_idx, frame) = task
-    code = _cached_code(code_src)
-    ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+    cell, frame = task
     seed = np.random.SeedSequence(
-        master, spawn_key=(point, _SCHEME_INDEX[scheme], cfg_idx, frame)
+        cell.spec.master_seed,
+        spawn_key=(cell.point, _SCHEME_INDEX[cell.scheme], cell.cfg_idx, frame),
     )
-    rng = np.random.default_rng(seed)
-    if scheme == "rrs":
-        transform = build_transform(ch, MonotonicityConfig(cfg_signs))
-        out, target, _ = _frame_rrs(code, ch, transform, alpha, max_iters, rng)
-    elif scheme == "hard":
-        regions = map_decision_regions(c, ch.noise_variance)
-        out, target = _frame_hard(code, ch, regions, max_iters, rng)
-    else:
-        out, target = _frame_direct(code, ch, max_iters, rng)
+    out, target, _, _ = _frame(cell, np.random.default_rng(seed))
     nerr = int(np.count_nonzero(out.bits != target))
     return FrameResult(
-        snr_db=snr,
-        scheme=scheme,
+        snr_db=cell.snr_db,
+        scheme=cell.scheme,
         bit_errors=nerr,
         frame_errors=int(nerr > 0),
         iterations=out.iterations_used,
@@ -500,58 +513,36 @@ def ber_sweep(
     (master seed, point index, scheme, config, frame index), so the result
     is independent of batching and worker count.
     """
-    code = _cached_code(spec.code)
-    cells = []
-    for point, snr in enumerate(spec.snr_grid_db):
-        for scheme in spec.schemes:
-            if scheme == "rrs":
-                for cfg_idx, cfg in enumerate(spec.configs):
-                    cells.append((point, snr, scheme, cfg_idx, cfg))
-            else:
-                cells.append((point, snr, scheme, 0, None))
+    code = load_code(spec.code)
+    cells = [
+        _Cell(spec, point, scheme, cfg_idx)
+        for point in range(len(spec.snr_grid_db))
+        for scheme in spec.schemes
+        for cfg_idx in (range(len(spec.configs)) if scheme == "rrs" else (0,))
+    ]
 
     points: list[BerPoint] = []
     pool = ProcessPoolExecutor(max_workers=spec.workers) if spec.workers > 1 else None
+    run = pool.map if pool is not None else map
     try:
-        for point, snr, scheme, cfg_idx, cfg in cells:
-            signs = cfg.signs if cfg is not None else None
+        for cell in cells:
             bit_err = frame_err = frames = iters = 0
-            while frames < spec.frames_per_point:
+            stopped = False
+            while frames < spec.frames_per_point and not stopped:
                 batch = min(_BATCH, spec.frames_per_point - frames)
-                tasks = [
-                    (
-                        spec.code,
-                        spec.constellation,
-                        snr,
-                        scheme,
-                        signs,
-                        spec.alpha,
-                        spec.max_iters,
-                        spec.master_seed,
-                        point,
-                        cfg_idx,
-                        frames + b,
-                    )
-                    for b in range(batch)
-                ]
-                if pool is not None:
-                    outs = list(pool.map(_ber_frame, tasks))
-                else:
-                    outs = [_ber_frame(t) for t in tasks]
-                for fr in outs:
+                for fr in run(_ber_frame, [(cell, frames + b) for b in range(batch)]):
                     bit_err += fr.bit_errors
                     frame_err += fr.frame_errors
                     iters += fr.iterations
                 frames += batch
-                if bit_err >= spec.stop_bit_errors and frame_err >= spec.stop_frame_errors:
-                    break
+                stopped = bit_err >= spec.stop_bit_errors and frame_err >= spec.stop_frame_errors
             nbits = frames * code.n
             lo, hi = _wilson(bit_err, nbits)
             pt = BerPoint(
-                snr_db=snr,
-                scheme=scheme,
-                config=cfg.name if cfg is not None else "",
-                alpha=spec.alpha if scheme == "rrs" else 1.0,
+                snr_db=cell.snr_db,
+                scheme=cell.scheme,
+                config=cell.config_name,
+                alpha=spec.alpha if cell.scheme == "rrs" else 1.0,
                 frames=frames,
                 bit_errors=bit_err,
                 frame_errors=frame_err,
@@ -559,9 +550,7 @@ def ber_sweep(
                 ber_ci_lo=lo,
                 ber_ci_hi=hi,
                 fer=frame_err / frames,
-                undersampled=not (
-                    bit_err >= spec.stop_bit_errors and frame_err >= spec.stop_frame_errors
-                ),
+                undersampled=not stopped,
             )
             points.append(pt)
             if log_path is not None:
@@ -569,8 +558,8 @@ def ber_sweep(
                     log_path,
                     {
                         "event": "ber-point",
-                        "snr_db": snr,
-                        "scheme": scheme,
+                        "snr_db": pt.snr_db,
+                        "scheme": pt.scheme,
                         "config": pt.config,
                         "frames": frames,
                         "bit_errors": bit_err,

@@ -24,7 +24,7 @@ built-in presets:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -497,9 +497,10 @@ def _group_is_clean(addresses: list[int], m: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1)
 def dvbs2_r12() -> LdpcCode:
-    """The bundled rate-1/2, n=64800 staircase code (see module docstring)."""
+    """The bundled rate-1/2, n=64800 staircase code (see module docstring).
+
+    Builds a fresh code on every call; ``load_code`` keeps the built one."""
     return build_staircase_code(_r12_table_rows(), group=_R12_GROUP)
 
 
@@ -509,11 +510,14 @@ PRESETS = {
 }
 
 
+@cache
 def load_code(source: str | Path) -> LdpcCode:
     """Load a code from a preset name, an alist file path, or alist text.
 
     Text is recognized by containing a newline; otherwise the name is tried
-    against the presets and then the filesystem.
+    against the presets and then the filesystem. Each source is built once
+    per process and the same code object returned after that; callers must
+    not modify its arrays.
     """
     if isinstance(source, Path):
         return parse_alist(source.read_text())

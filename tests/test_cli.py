@@ -261,7 +261,7 @@ class TestAuditCommand:
             bad = ChannelModel(ch.constellation, ch.noise_variance * 4.0)
             return build_transform(bad, cfg)
 
-        monkeypatch.setattr(cli, "_AUDIT_TRANSFORM_HOOK", wrong_transform)
+        monkeypatch.setattr(cli, "build_transform", wrong_transform)
         rc = run(
             [
                 "audit",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softrec.channel import ChannelModel
-from softrec.constellation import map_decision_regions, pam
+from softrec.constellation import Constellation, map_decision_regions, pam
 from softrec.harness import (
     MI_TARGETS,
     SCHEMES,
@@ -90,6 +90,10 @@ class TestExperimentSpec:
     def test_config_strings_normalized(self):
         spec = tiny_spec(configs=("+-+-",))
         assert spec.configs[0].signs == (1, -1, 1, -1)
+
+    def test_rejects_unknown_code_at_build(self):
+        with pytest.raises(ValueError, match="unknown code source"):
+            tiny_spec(code="no-such-preset")
 
     def test_scheme_catalog(self):
         assert SCHEMES == ("direct", "hard", "rrs")
@@ -184,6 +188,26 @@ class TestRunProtocol:
     def test_explicit_point_overrides(self):
         res = run_protocol(tiny_spec(snr_grid_db=(0.0, 14.0)), seed=3, snr_db=14.0)
         assert res.outcome.converged
+
+
+class TestMissingBitmap:
+    """Frames map symbols to bits, so they need a bitmap; MI curves do not."""
+
+    def no_bitmap_spec(self):
+        c = pam(4)
+        return tiny_spec(constellation=Constellation(c.points, c.priors, bitmap=()))
+
+    def test_frames_rejected_before_running(self):
+        spec = self.no_bitmap_spec()
+        with pytest.raises(ValueError, match="bitmap"):
+            ber_sweep(spec)
+        with pytest.raises(ValueError, match="bitmap"):
+            run_protocol(spec, seed=1)
+
+    def test_mi_sweep_still_runs(self):
+        res = mi_sweep(self.no_bitmap_spec())
+        assert [(r.scheme, r.config) for r in res] == [("rrs", "alternating")]
+        assert 0.0 < res[0].value_bits < 2.0
 
 
 class TestMiSweepAndInversion:
@@ -284,6 +308,49 @@ class TestBerSweep:
             hw = z * np.sqrt(ph * (1 - ph) / total + z * z / (4 * total * total))
             assert p.ber_ci_lo == pytest.approx((ctr - hw) / den, rel=1e-9)
             assert p.ber_ci_hi == pytest.approx((ctr + hw) / den, rel=1e-9)
+
+
+class TestCrossCommitPin:
+    """Exact harness output for fixed seeds, recorded before the frame
+    pipeline was folded into one function; any change to the per-frame draw
+    order, soft inputs or seeding shows up here. hamming74 has n=7 at 2
+    bits/symbol, so the last symbol's second bit is cut off every frame."""
+
+    BER_POINTS = [
+        (1.0, "direct", "", 1.0, 8, 11, 4, 0.19642857142857142, 0.11338595674323658, 0.31844607626458404, 0.5, True),
+        (1.0, "hard", "", 1.0, 8, 16, 7, 0.2857142857142857, 0.18418775143858906, 0.4147525071551667, 0.875, True),
+        (1.0, "rrs", "base", 0.8, 8, 14, 6, 0.25, 0.15517054688270684, 0.376926421476675, 0.75, True),
+        (1.0, "rrs", "alternating", 0.8, 8, 2, 1, 0.03571428571428571, 0.00984942514823639, 0.12118780180490107, 0.125, True),
+        (4.0, "direct", "", 1.0, 8, 5, 2, 0.08928571428571429, 0.03874214844958693, 0.19256001385511162, 0.25, True),
+        (4.0, "hard", "", 1.0, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True),
+        (4.0, "rrs", "base", 0.8, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True),
+        (4.0, "rrs", "alternating", 0.8, 8, 3, 1, 0.05357142857142857, 0.018385781382109126, 0.14607309068821533, 0.125, True),
+    ]
+
+    def test_ber_sweep_points(self):
+        spec = tiny_spec(
+            snr_grid_db=(1.0, 4.0),
+            schemes=SCHEMES,
+            configs=("base", "alternating"),
+            frames_per_point=8,
+            alpha=0.8,
+            master_seed=2024,
+        )
+        assert [dataclasses.astuple(p) for p in ber_sweep(spec)] == self.BER_POINTS
+
+    def test_run_protocol_frame(self):
+        # an undetected error: the decoder meets the syndrome with wrong bits
+        res = run_protocol(tiny_spec(snr_grid_db=(1.0,)), seed=19)
+        assert res.transcript.n_values.tolist() == [
+            0.02680506563359011,
+            0.48439534082919533,
+            0.08304591851832598,
+            0.3060938647342002,
+        ]
+        assert res.transcript.syndrome.tolist() == [1, 1, 0]
+        assert res.bob_bits.tolist() == [0, 1, 1, 1, 0, 1, 0]
+        assert res.alice_bits.tolist() == [1, 1, 1, 0, 1, 1, 0]
+        assert (res.outcome.converged, res.outcome.iterations_used) == (True, 2)
 
 
 class TestCsvWriters:

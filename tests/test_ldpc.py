@@ -286,8 +286,10 @@ class TestDvbs2Profile:
         assert prof["col_degree_histogram"] == {8: 12960, 3: 19440, 2: 32399, 1: 1}
 
     def test_generator_is_deterministic(self):
-        a = dvbs2_r12()
-        b = load_code("dvbs2-r12-64800")
+        # two independent builds, not one cached object
+        a, b = dvbs2_r12(), dvbs2_r12()
+        assert a is not b
+        np.testing.assert_array_equal(a.chk_ptr, b.chk_ptr)
         np.testing.assert_array_equal(a.chk_var, b.chk_var)
 
     def test_first_group_addresses_frozen(self):
@@ -329,6 +331,9 @@ class TestLoadCode:
         p.write_text(to_alist(hamming74()))
         assert load_code(p).n == 7
         assert load_code(str(p)).n == 7
+
+    def test_each_source_built_once(self):
+        assert load_code("hamming74") is load_code("hamming74")
 
     def test_unknown_source_rejected(self):
         with pytest.raises(ValueError):

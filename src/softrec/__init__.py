@@ -35,7 +35,6 @@ from softrec.softening import (
     unsoften,
 )
 from softrec.metrics import (
-    LapprVector,
     LAPPR_CLAMP,
     joint_conditional_density,
     lappr,
@@ -64,7 +63,7 @@ from softrec.ldpc import (
 from softrec.harness import (
     ExperimentSpec,
     ber_sweep,
-    hard_rr_baseline_lapprs,
+    hard_rr_lapprs,
     mi_sweep,
     noise_variance_for_snr_db,
     run_protocol,
@@ -93,7 +92,6 @@ __all__ = [
     "soften",
     "transform_jacobian",
     "unsoften",
-    "LapprVector",
     "LAPPR_CLAMP",
     "joint_conditional_density",
     "lappr",
@@ -116,7 +114,7 @@ __all__ = [
     "to_alist",
     "ExperimentSpec",
     "ber_sweep",
-    "hard_rr_baseline_lapprs",
+    "hard_rr_lapprs",
     "mi_sweep",
     "noise_variance_for_snr_db",
     "run_protocol",

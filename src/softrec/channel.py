@@ -84,36 +84,39 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
     return noisy
 
 
-def _check_finite(y: np.ndarray, name: str) -> None:
-    if np.isnan(y).any():
-        raise ValueError(f"{name}: NaN input")
-
-
-def output_density(y, ch: ChannelModel):
-    """Mixture density f_Y(y); strictly positive, integrates to 1."""
+def _mixture_z(y, ch: ChannelModel, name: str):
+    """``(arr, z)``: ``y`` as a NaN-checked float array, and its standardised
+    distance z = (y - a_j) / sigma to every point, along a new last axis."""
     arr = np.asarray(y, dtype=float)
-    _check_finite(arr, "output_density")
-    z = (arr[..., None] - ch.constellation.points) / ch.sigma
-    vals = np.sum(ch.constellation.priors * np.exp(-0.5 * z * z), axis=-1) / (
-        np.sqrt(2.0 * np.pi) * ch.sigma
-    )
+    if np.isnan(arr).any():
+        raise ValueError(f"{name}: NaN input")
+    return arr, (arr[..., None] - ch.constellation.points) / ch.sigma
+
+
+def _shaped(arr: np.ndarray, vals):
+    """``vals`` as a float when the input ``arr`` was a scalar."""
     if arr.ndim == 0:
         return float(vals)
     return vals
 
 
+def output_density(y, ch: ChannelModel):
+    """Mixture density f_Y(y); strictly positive, integrates to 1."""
+    arr, z = _mixture_z(y, ch, "output_density")
+    vals = np.sum(ch.constellation.priors * np.exp(-0.5 * z * z), axis=-1) / (
+        np.sqrt(2.0 * np.pi) * ch.sigma
+    )
+    return _shaped(arr, vals)
+
+
 def log_output_density(y, ch: ChannelModel):
     """log f_Y(y), stable far into the tails where the density underflows."""
-    arr = np.asarray(y, dtype=float)
-    _check_finite(arr, "log_output_density")
-    z = (arr[..., None] - ch.constellation.points) / ch.sigma
+    arr, z = _mixture_z(y, ch, "log_output_density")
     expo = -0.5 * z * z + np.log(ch.constellation.priors)
     top = np.max(expo, axis=-1)
     out = top + np.log(np.sum(np.exp(expo - top[..., None]), axis=-1))
     out -= _LOG_SQRT_2PI + np.log(ch.sigma)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    return _shaped(arr, out)
 
 
 def output_cdf(y, ch: ChannelModel):
@@ -123,24 +126,14 @@ def output_cdf(y, ch: ChannelModel):
     relative precision in a double. Use ``output_sf`` when the upper-tail
     mass itself is needed.
     """
-    arr = np.asarray(y, dtype=float)
-    _check_finite(arr, "output_cdf")
-    z = (arr[..., None] - ch.constellation.points) / ch.sigma
-    vals = np.sum(ch.constellation.priors * ndtr(z), axis=-1)
-    if arr.ndim == 0:
-        return float(vals)
-    return vals
+    arr, z = _mixture_z(y, ch, "output_cdf")
+    return _shaped(arr, np.sum(ch.constellation.priors * ndtr(z), axis=-1))
 
 
 def output_sf(y, ch: ChannelModel):
     """Survival function P(Y > y); accurate (relative) in the upper tail."""
-    arr = np.asarray(y, dtype=float)
-    _check_finite(arr, "output_sf")
-    z = (arr[..., None] - ch.constellation.points) / ch.sigma
-    vals = np.sum(ch.constellation.priors * ndtr(-z), axis=-1)
-    if arr.ndim == 0:
-        return float(vals)
-    return vals
+    arr, z = _mixture_z(y, ch, "output_sf")
+    return _shaped(arr, np.sum(ch.constellation.priors * ndtr(-z), axis=-1))
 
 
 def _mixture_moments(ch: ChannelModel) -> tuple[float, float]:
@@ -152,7 +145,19 @@ def _mixture_moments(ch: ChannelModel) -> tuple[float, float]:
     return mean, var
 
 
-def output_quantile(p, ch: ChannelModel, complement: bool = False):
+def _expand_bracket(residual, edge: np.ndarray, span: float, outward: float) -> np.ndarray:
+    """Move bracket ends outward (``outward`` = -1 for lo, +1 for hi) by a
+    doubling step until the residual is <= 0 at every lo, >= 0 at every hi."""
+    for _ in range(100):
+        grow = outward * residual(edge) < 0
+        if not grow.any():
+            break
+        edge = np.where(grow, edge + outward * span, edge)
+        span *= 2.0
+    return edge
+
+
+def output_quantile(p, ch: ChannelModel):
     """Invert the output CDF: find y with F_Y(y) = p.
 
     Safeguarded Newton iteration with a per-element bisection bracket,
@@ -166,10 +171,6 @@ def output_quantile(p, ch: ChannelModel, complement: bool = False):
         Probabilities in the open interval (0, 1). Exact 0/1 are rejected
         (they map to -inf/+inf); callers clamp first.
     ch : ChannelModel
-    complement : bool
-        When True, ``p`` is the upper-tail mass and the solve targets
-        P(Y > y) = p. This branch keeps full relative precision for tiny
-        upper-tail masses that a plain CDF value cannot represent.
 
     Returns
     -------
@@ -186,14 +187,9 @@ def output_quantile(p, ch: ChannelModel, complement: bool = False):
     # Evaluate the residual on whichever tail is well conditioned for each
     # element. Switching branches costs nothing because 1 - p is exact for
     # p >= 1/2 (Sterbenz); the given value is never degraded.
-    if complement:
-        use_sf = pv <= 0.5
-        target_sf = np.where(use_sf, pv, 0.0)
-        target_cdf = np.where(use_sf, 0.0, 1.0 - pv)
-    else:
-        use_sf = pv > 0.5
-        target_sf = np.where(use_sf, 1.0 - pv, 0.0)
-        target_cdf = np.where(use_sf, 0.0, pv)
+    use_sf = pv > 0.5
+    target_sf = np.where(use_sf, 1.0 - pv, 0.0)
+    target_cdf = np.where(use_sf, 0.0, pv)
     # Branch-local target magnitude, for the relative part of the tolerance.
     teff = np.where(use_sf, target_sf, target_cdf)
     tol = QUANTILE_TOL * np.minimum(1.0, 2.0 * teff)
@@ -210,26 +206,12 @@ def output_quantile(p, ch: ChannelModel, complement: bool = False):
         return np.where(use_sf, upper, lower)
 
     # Bracket [lo, hi]; expand geometrically until the residual changes sign.
-    lo = np.full(pv.shape, pts.min() - 10.0 * sig)
-    hi = np.full(pv.shape, pts.max() + 10.0 * sig)
     span = float(pts.max() - pts.min()) + 10.0 * sig
-    for _ in range(100):
-        grow = residual(lo) > 0
-        if not grow.any():
-            break
-        lo = np.where(grow, lo - span, lo)
-        span *= 2.0
-    span = float(pts.max() - pts.min()) + 10.0 * sig
-    for _ in range(100):
-        grow = residual(hi) < 0
-        if not grow.any():
-            break
-        hi = np.where(grow, hi + span, hi)
-        span *= 2.0
+    lo = _expand_bracket(residual, np.full(pv.shape, pts.min() - 10.0 * sig), span, -1.0)
+    hi = _expand_bracket(residual, np.full(pv.shape, pts.max() + 10.0 * sig), span, 1.0)
 
     mean, var = _mixture_moments(ch)
-    q0 = 1.0 - pv if complement else pv
-    y = mean + np.sqrt(var) * ndtri(np.clip(q0, 1e-300, 1.0 - 1e-16))
+    y = mean + np.sqrt(var) * ndtri(np.clip(pv, 1e-300, 1.0 - 1e-16))
     y = np.clip(y, lo, hi)
 
     active = np.ones(pv.shape, dtype=bool)

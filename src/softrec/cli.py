@@ -11,7 +11,10 @@ audit
     Disclosure audit over a grid: analytic leakage, Monte-Carlo mutual
     information between the disclosed metric and the receiver's decisions
     estimated from simulated transcripts, and per-decision KS uniformity
-    tests. Exits 1 when any check breaches its threshold.
+    tests. Exits 1 when any check breaches its threshold. The analytic
+    figure is zero by algebra for any transform and so bounds rounding
+    only; the Monte-Carlo and KS checks are the ones that catch a broken
+    transform.
 reconcile
     Single-frame protocol demo; prints the public transcript as JSON.
 codegen

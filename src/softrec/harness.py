@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .channel import ChannelModel, transmit
 from .constellation import (
@@ -49,7 +48,7 @@ from .constellation import (
 )
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
-from .metrics import LAPPR_CLAMP, LapprVector, lappr_batch
+from .metrics import LAPPR_CLAMP, bit_lapprs, lappr_batch
 from .softening import MonotonicityConfig, build_transform, soften
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
     "mi_sweep",
     "snr_at_mi",
     "ber_sweep",
-    "hard_rr_baseline_lapprs",
+    "hard_rr_lapprs",
     "direct_bit_llrs",
     "write_mi_csv",
     "write_snr_at_mi_csv",
@@ -206,23 +205,20 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Unpacks as (alice_bits, bob_bits, transcript); decoder detail rides
-    along in ``outcome``."""
+    """Both parties' bits and the public transcript of one frame; decoder
+    detail rides along in ``outcome``."""
 
     alice_bits: np.ndarray
     bob_bits: np.ndarray
     transcript: Transcript
     outcome: object
 
-    def __iter__(self):
-        return iter((self.alice_bits, self.bob_bits, self.transcript))
-
 
 # ---------------------------------------------------------------------------
 # Soft-input construction per scheme
 
 
-def direct_bit_llrs(y, ch: ChannelModel, c: Constellation | None = None) -> np.ndarray:
+def direct_bit_llrs(y, ch: ChannelModel) -> np.ndarray:
     """Per-bit channel LLRs log(P(bit=0|y)/P(bit=1|y)) from raw outputs.
 
     This is the receiver-side soft demapper of the direct scheme: the
@@ -232,48 +228,34 @@ def direct_bit_llrs(y, ch: ChannelModel, c: Constellation | None = None) -> np.n
     -------
     ndarray, shape (len(y), L), clamped to +-LAPPR_CLAMP.
     """
-    if c is None:
-        c = ch.constellation
+    c = ch.constellation
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     logw = -((ya[:, None] - c.points[None, :]) ** 2) / (2.0 * ch.noise_variance)
     logw += np.log(c.priors)[None, :]
-    nbits = c.bits_per_symbol
-    out = np.empty((ya.size, nbits))
-    for l in range(nbits):
-        zeros, ones = bit_partitions(c, l)
-        out[:, l] = logsumexp(logw[:, zeros], axis=1) - logsumexp(logw[:, ones], axis=1)
-    return np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP)
+    return bit_lapprs(logw, c)
 
 
-def _hard_rr_table(ch: ChannelModel, regions: DecisionRegions, c: Constellation) -> np.ndarray:
-    """(M, L) table of DMC bit-LLRs: row x holds the LAPPRs for sent symbol x."""
-    t = transition_matrix(ch, regions)
-    nbits = c.bits_per_symbol
-    out = np.empty((c.order, nbits))
-    with np.errstate(divide="ignore"):
-        for l in range(nbits):
-            zeros, ones = bit_partitions(c, l)
-            out[:, l] = np.log(t[:, zeros].sum(axis=1)) - np.log(t[:, ones].sum(axis=1))
-    return np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP)
-
-
-def hard_rr_baseline_lapprs(
-    x: int,
-    c: Constellation,
-    regions: DecisionRegions,
-    ch: ChannelModel,
-) -> LapprVector:
+def hard_rr_lapprs(ch: ChannelModel, regions: DecisionRegions) -> np.ndarray:
     """Soft inputs available to the sender under hard reverse reconciliation.
 
     Without any disclosed metric the sender only knows the discrete channel
     P(decision | sent = a_x), so every frame slot carrying symbol x gets the
     same per-bit LLR log(P(bit=0|x)/P(bit=1|x)). Magnitudes saturate at the
     clamp as the channel becomes noiseless.
+
+    Returns
+    -------
+    ndarray, shape (M, L)
+        Row x holds the LLRs for sent symbol x.
     """
-    if not 0 <= x < c.order:
-        raise ValueError("symbol index out of range")
-    table = _hard_rr_table(ch, regions, c)
-    return LapprVector(values=table[x], alpha=1.0)
+    c = ch.constellation
+    t = transition_matrix(ch, regions)
+    out = np.empty((c.order, c.bits_per_symbol))
+    with np.errstate(divide="ignore"):
+        for l in range(c.bits_per_symbol):
+            zeros, ones = bit_partitions(c, l)
+            out[:, l] = np.log(t[:, zeros].sum(axis=1)) - np.log(t[:, ones].sum(axis=1))
+    return np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +309,8 @@ def _soft_inputs(cell: _Cell, x, y):
         return demap(i, c), lappr_batch(n, x, transform, alpha=cell.spec.alpha), n
     if cell.scheme == "hard":
         regions = map_decision_regions(c, ch.noise_variance)
-        return demap(decide(y, regions), c), _hard_rr_table(ch, regions, c)[x], None
-    return demap(x, c), direct_bit_llrs(y, ch, c), None
+        return demap(decide(y, regions), c), hard_rr_lapprs(ch, regions)[x], None
+    return demap(x, c), direct_bit_llrs(y, ch), None
 
 
 def _frame(cell: _Cell, rng):
@@ -370,7 +352,7 @@ def run_protocol(spec: ExperimentSpec, seed, snr_db: float | None = None, config
     Returns
     -------
     ProtocolResult
-        (alice_bits, bob_bits, transcript) plus the decode outcome.
+        alice_bits, bob_bits, transcript, and the decode outcome.
     """
     snr = spec.snr_grid_db[0] if snr_db is None else snr_db
     cfg = spec.configs[0] if config is None else config
@@ -511,7 +493,9 @@ def ber_sweep(
     thresholds (bit and frame errors) are met; cells that never meet them
     are flagged ``undersampled``. Every frame draws its generator from
     (master seed, point index, scheme, config, frame index), so the result
-    is independent of batching and worker count.
+    is independent of batching and worker count. Each cell's ``ber-point``
+    run-log record splits its frame errors into ``undetected_frames``
+    (decoder converged onto wrong bits) and ``not_converged_frames``.
     """
     code = load_code(spec.code)
     cells = [
@@ -526,7 +510,7 @@ def ber_sweep(
     run = pool.map if pool is not None else map
     try:
         for cell in cells:
-            bit_err = frame_err = frames = iters = 0
+            bit_err = frame_err = frames = iters = undetected = not_converged = 0
             stopped = False
             while frames < spec.frames_per_point and not stopped:
                 batch = min(_BATCH, spec.frames_per_point - frames)
@@ -534,6 +518,10 @@ def ber_sweep(
                     bit_err += fr.bit_errors
                     frame_err += fr.frame_errors
                     iters += fr.iterations
+                    if fr.converged:
+                        undetected += fr.frame_errors
+                    else:
+                        not_converged += 1
                 frames += batch
                 stopped = bit_err >= spec.stop_bit_errors and frame_err >= spec.stop_frame_errors
             nbits = frames * code.n
@@ -564,6 +552,8 @@ def ber_sweep(
                         "frames": frames,
                         "bit_errors": bit_err,
                         "frame_errors": frame_err,
+                        "undetected_frames": undetected,
+                        "not_converged_frames": not_converged,
                         "ber": pt.ber,
                         "mean_iterations": iters / frames,
                         "undersampled": pt.undersampled,

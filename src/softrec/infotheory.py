@@ -7,7 +7,8 @@ Four quantities, all in bits per channel use:
 * ``mi_hard``: I(X;Xhat) of the hard-decision discrete channel.
 * ``mi_rrs``: I(Xhat; X, N), what the sender learns about the receiver's
   decisions from her own symbols plus the disclosed metric.
-* ``leakage``: I(N; Xhat), which a correctly built transform keeps at zero.
+* ``leakage``: I(N; Xhat) from the joint densities; zero by construction,
+  so the evaluated value measures rounding.
 
 Continuous integrals run on adaptive Gauss-Kronrod quadrature; entropy is
 reported base 2 while internal densities stay in natural log.
@@ -41,10 +42,11 @@ __all__ = [
     "mi_bound_check",
 ]
 
-# Adaptive-quadrature defaults; every evaluator takes them as parameters.
+# Adaptive-quadrature controls shared by every evaluator.
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-8
 QUAD_LIMIT = 200
+_QUAD = {"epsabs": QUAD_ABS_TOL, "epsrel": QUAD_REL_TOL, "limit": QUAD_LIMIT}
 
 _LN2 = float(np.log(2.0))
 
@@ -104,13 +106,7 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-np.sum(p[nz] * np.log2(p[nz])))
 
 
-def mi_direct(
-    ch: ChannelModel,
-    epsabs: float = QUAD_ABS_TOL,
-    epsrel: float = QUAD_REL_TOL,
-    limit: int = QUAD_LIMIT,
-    with_error: bool = False,
-):
+def mi_direct(ch: ChannelModel, with_error: bool = False):
     """I(X;Y) in bits for the discrete-input AWGN channel.
 
     Computed as h(Y) - h(Y|X) with h(Y) by adaptive quadrature of
@@ -119,8 +115,6 @@ def mi_direct(
     Parameters
     ----------
     ch : ChannelModel
-    epsabs, epsrel, limit
-        Quadrature controls.
     with_error : bool
         When True, return (value, error_estimate) instead of the value.
     """
@@ -133,9 +127,7 @@ def mi_direct(
 
     lo = float(a.min() - 13.0 * sig)
     hi = float(a.max() + 13.0 * sig)
-    h_y, err = integrate.quad(
-        integrand, lo, hi, points=list(a), limit=limit, epsabs=epsabs, epsrel=epsrel
-    )
+    h_y, err = integrate.quad(integrand, lo, hi, points=list(a), **_QUAD)
     h_y_given_x = 0.5 * np.log2(2.0 * np.pi * np.e * ch.noise_variance)
     value = float(h_y - h_y_given_x)
     if err > 1e-6:
@@ -149,9 +141,9 @@ def mi_direct(
     return value
 
 
-def mi_hard(ch: ChannelModel, regions: DecisionRegions | None = None) -> float:
-    """I(X;Xhat) in bits of the hard-decision discrete channel."""
-    t = transition_matrix(ch, regions)
+def mi_hard(ch: ChannelModel) -> float:
+    """I(X;Xhat) in bits of the hard-decision channel over the MAP regions."""
+    t = transition_matrix(ch)
     p = ch.constellation.priors
     marg = p @ t
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,13 +160,7 @@ def _log_joint_matrix(n: float, t: SofteningTransform) -> np.ndarray:
     return _log_joint_from_y(y[:, None], i_all[:, None], np.arange(m)[None, :], t)
 
 
-def mi_rrs(
-    t: SofteningTransform,
-    epsabs: float = QUAD_ABS_TOL,
-    epsrel: float = QUAD_REL_TOL,
-    limit: int = QUAD_LIMIT,
-    with_error: bool = False,
-):
+def mi_rrs(t: SofteningTransform, with_error: bool = False):
     """I(Xhat; X, N) in bits for a built softening transform.
 
     Decomposes as H(Xhat) plus the expectation of the log-ratio between the
@@ -192,9 +178,7 @@ def mi_rrs(
         logz = logsumexp(logf, axis=0, keepdims=True)
         return np.sum(np.exp(logf) * (logf - logz), axis=0) / _LN2
 
-    res, err = integrate.quad_vec(
-        integrand, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit, quadrature="gk15"
-    )
+    res, err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
     value = h_xhat + float(np.sum(priors * res))
     if err > 1e-5:
         warnings.warn(
@@ -207,19 +191,15 @@ def mi_rrs(
     return value
 
 
-def leakage(
-    t: SofteningTransform,
-    epsabs: float = QUAD_ABS_TOL,
-    epsrel: float = QUAD_REL_TOL,
-    limit: int = QUAD_LIMIT,
-) -> float:
+def leakage(t: SofteningTransform) -> float:
     """I(N; Xhat) in bits, evaluated numerically from the joint densities.
 
-    For any transform built from the CDF-reparameterization construction
-    the conditional density of the metric given each decision is exactly
-    uniform, so this must come out at numerical zero (<= 1e-6 bits). The
-    evaluation does not assume that; a broken transform yields its true,
-    positive leakage.
+    The result is zero by algebra, not by measurement: for any
+    ``SofteningTransform``, whatever its ``cdf_edges``, sum_j P_j f(n, i | j)
+    = dF_i, so the integrand is identically zero and the value (<= 1e-6
+    bits) measures rounding only. It cannot detect a broken transform; one
+    that does not match its channel is caught by the audit's Monte-Carlo MI
+    and KS uniformity checks on simulated outputs.
     """
     priors = t.channel.constellation.priors
     log_df = np.log(t.deltas)
@@ -233,17 +213,15 @@ def leakage(
         log_mix = logsumexp(log_df + log_cond)
         return np.exp(log_cond) * (log_cond - log_mix) / _LN2
 
-    res, _err = integrate.quad_vec(
-        integrand, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=limit, quadrature="gk15"
-    )
+    res, _err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
     return float(np.sum(t.deltas * res))
 
 
-def mi_bound_check(ch: ChannelModel, t: SofteningTransform, slack: float = 1e-6) -> bool:
-    """True iff I(Xhat;X,N) <= I(X;Y) + slack for this channel/transform pair."""
+def mi_bound_check(ch: ChannelModel, t: SofteningTransform) -> bool:
+    """True iff I(Xhat;X,N) <= I(X;Y) + 1e-6 for this channel/transform pair."""
     if t.channel is not ch and (
         t.channel.noise_variance != ch.noise_variance
         or not np.array_equal(t.channel.constellation.points, ch.constellation.points)
     ):
         raise ValueError("transform was built for a different channel")
-    return mi_rrs(t) <= mi_direct(ch) + slack
+    return mi_rrs(t) <= mi_direct(ch) + 1e-6

@@ -14,8 +14,6 @@ Gaussian ratios underflow at high SNR.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import logsumexp
 
@@ -25,7 +23,7 @@ from softrec.softening import SofteningTransform, inverse_and_jacobian
 
 __all__ = [
     "LAPPR_CLAMP",
-    "LapprVector",
+    "bit_lapprs",
     "joint_conditional_density",
     "joint_density_ratio_form",
     "log_joint_conditional_density",
@@ -39,31 +37,6 @@ __all__ = [
 LAPPR_CLAMP = 50.0
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class LapprVector:
-    """Per-bit log a-posteriori probability ratios for one symbol slot.
-
-    Attributes
-    ----------
-    values : ndarray, shape (L,)
-        log(P(bit=0)/P(bit=1)) per bit position, scaled by ``alpha`` and
-        clamped to [-LAPPR_CLAMP, LAPPR_CLAMP].
-    alpha : float
-        The multiplicative scaling that was applied.
-    """
-
-    values: np.ndarray
-    alpha: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("LAPPR values must be finite")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
 
 
 def _log_joint_from_y(y, i, j, t: SofteningTransform):
@@ -159,13 +132,37 @@ def posterior_decisions(n, j, t: SofteningTransform):
     return np.exp(logf - logz)
 
 
-def lappr(
-    n: float,
-    j: int,
-    t: SofteningTransform,
-    c: Constellation | None = None,
-    alpha: float = 1.0,
-) -> LapprVector:
+def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
+    """Per-bit log-ratios from per-symbol log-weights: the bit marginaliser.
+
+    Parameters
+    ----------
+    logw : array, shape (..., M)
+        Unnormalised log-weight of each symbol hypothesis; a common offset
+        cancels.
+    c : Constellation
+        Supplies the bit labeling.
+    alpha : float
+        Multiplicative scaling applied before clamping.
+
+    Returns
+    -------
+    ndarray, shape (..., L)
+        alpha * (logsumexp over the symbols whose bit l is 0 - logsumexp
+        over those whose bit l is 1), clamped to +-LAPPR_CLAMP.
+    """
+    nbits = c.bits_per_symbol
+    out = np.empty(logw.shape[:-1] + (nbits,), dtype=float)
+    for l in range(nbits):
+        zeros, ones = bit_partitions(c, l)
+        l0 = logsumexp(logw[..., zeros], axis=-1)
+        l1 = logsumexp(logw[..., ones], axis=-1)
+        out[..., l] = alpha * (l0 - l1)
+    np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP, out=out)
+    return out
+
+
+def lappr(n: float, j: int, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     """Per-bit LAPPRs for one symbol slot.
 
     Parameters
@@ -175,8 +172,6 @@ def lappr(
     j : int
         The sender's own symbol index.
     t : SofteningTransform
-    c : Constellation, optional
-        Supplies the bit labeling; defaults to the channel's constellation.
     alpha : float
         Multiplicative scaling applied before clamping; 1.0 leaves the
         log-ratios untouched. 0.65 is the documented tuned preset for the
@@ -184,20 +179,14 @@ def lappr(
 
     Returns
     -------
-    LapprVector
-        values[l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f)).
+    ndarray, shape (L,)
+        [l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f)),
+        with the bit labeling of the channel's constellation.
     """
-    values = lappr_batch(np.asarray([n]), np.asarray([j]), t, alpha=alpha, c=c)[0]
-    return LapprVector(values=values, alpha=alpha)
+    return lappr_batch(np.asarray([n]), np.asarray([j]), t, alpha=alpha)[0]
 
 
-def lappr_batch(
-    n,
-    j,
-    t: SofteningTransform,
-    alpha: float = 1.0,
-    c: Constellation | None = None,
-) -> np.ndarray:
+def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     """Vectorized LAPPRs for many symbol slots.
 
     Parameters
@@ -206,27 +195,16 @@ def lappr_batch(
     j : int array, shape (S,)
     t : SofteningTransform
     alpha : float
-    c : Constellation, optional
 
     Returns
     -------
     ndarray, shape (S, L)
         Bit-position-major LAPPRs per slot, clamped to +-LAPPR_CLAMP.
     """
-    if c is None:
-        c = t.channel.constellation
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     jarr = np.asarray(j)
     if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
         raise ValueError("symbol index out of range")
     logf = _log_joint_all_decisions(np.asarray(n, dtype=float), jarr, t)
-    nbits = c.bits_per_symbol
-    out = np.empty(logf.shape[:-1] + (nbits,), dtype=float)
-    for l in range(nbits):
-        zeros, ones = bit_partitions(c, l)
-        l0 = logsumexp(logf[..., zeros], axis=-1)
-        l1 = logsumexp(logf[..., ones], axis=-1)
-        out[..., l] = alpha * (l0 - l1)
-    np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP, out=out)
-    return out
+    return bit_lapprs(logf, t.channel.constellation, alpha)

@@ -152,11 +152,9 @@ class SofteningTransform:
 
 
 def build_transform(
-    ch: ChannelModel,
-    config: MonotonicityConfig | str | None = None,
-    regions: DecisionRegions | None = None,
+    ch: ChannelModel, config: MonotonicityConfig | str | None = None
 ) -> SofteningTransform:
-    """Construct the transform for a channel, config, and decision regions.
+    """Construct the transform for a channel and config over the MAP regions.
 
     Parameters
     ----------
@@ -164,11 +162,8 @@ def build_transform(
     config : MonotonicityConfig or str, optional
         Defaults to all-increasing. Strings accept 'base', 'alternating',
         or a sign string like '+-+-'.
-    regions : DecisionRegions, optional
-        Defaults to the MAP regions of the channel's constellation.
     """
-    if regions is None:
-        regions = map_decision_regions(ch.constellation, ch.noise_variance)
+    regions = map_decision_regions(ch.constellation, ch.noise_variance)
     m = regions.count
     if config is None:
         config = MonotonicityConfig.base(m)
@@ -213,7 +208,7 @@ def soften(y, t: SofteningTransform):
     return n, d
 
 
-def _clamped_p(n, i, t: SofteningTransform, warn: bool):
+def _clamped_p(n, i, t: SofteningTransform):
     """Probability-space target of the piecewise inverse, endpoint-clamped."""
     narr = np.asarray(n, dtype=float)
     iarr = np.asarray(i)
@@ -223,20 +218,6 @@ def _clamped_p(n, i, t: SofteningTransform, warn: bool):
         raise ValueError("metric n must not be NaN")
     if iarr.size and (iarr.min() < 0 or iarr.max() >= t.order):
         raise ValueError("region index out of range")
-    if warn:
-        # n at the exact endpoint of an unbounded region maps to +-inf;
-        # the clamp below saturates it to the far tail instead.
-        s_first = t.config.signs[0]
-        s_last = t.config.signs[t.order - 1]
-        hits = (iarr == 0) & (narr == (0.0 if s_first > 0 else 1.0))
-        hits |= (iarr == t.order - 1) & (narr == (1.0 if s_last > 0 else 0.0))
-        if np.any(hits):
-            warnings.warn(
-                "inverse transform evaluated at the endpoint of an unbounded region; "
-                "result saturates to the far tail",
-                TailSaturationWarning,
-                stacklevel=3,
-            )
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)
     signs = np.asarray(t.config.signs)[iarr]
     lo = t.cdf_edges[iarr]
@@ -244,7 +225,45 @@ def _clamped_p(n, i, t: SofteningTransform, warn: bool):
     p = np.where(signs > 0, lo + nc * t.deltas[iarr], hi - nc * t.deltas[iarr])
     # Guard the open-interval requirement of the quantile against rounding.
     tiny = 1e-300
-    return np.clip(p, tiny, 1.0 - 1e-16), narr, iarr
+    return np.clip(p, tiny, 1.0 - 1e-16)
+
+
+def inverse_and_jacobian(n, i, t: SofteningTransform):
+    """Fused (g_i^{-1}(n), |g_i'| at that point); one quantile solve.
+
+    The one inverse of the piecewise transform: ``n`` is clamped to
+    [N_EPS, 1 - N_EPS] silently, so this is the hot-path form for metric
+    construction; ``unsoften`` and ``transform_jacobian`` add the endpoint
+    warning and scalar results on top.
+    """
+    p = _clamped_p(n, i, t)
+    y = output_quantile(p, t.channel)
+    jac = output_density(y, t.channel) / t.deltas[np.asarray(i)]
+    return y, jac
+
+
+def _checked_inverse(n, i, t: SofteningTransform):
+    """``inverse_and_jacobian`` that warns on endpoint saturation and returns
+    floats for scalar ``n`` and ``i``."""
+    y, jac = inverse_and_jacobian(n, i, t)
+    narr = np.asarray(n, dtype=float)
+    iarr = np.asarray(i)
+    # n at the exact endpoint of an unbounded region maps to +-inf; the
+    # clamp saturates it to the far tail instead.
+    s_first = t.config.signs[0]
+    s_last = t.config.signs[t.order - 1]
+    hits = (iarr == 0) & (narr == (0.0 if s_first > 0 else 1.0))
+    hits |= (iarr == t.order - 1) & (narr == (1.0 if s_last > 0 else 0.0))
+    if np.any(hits):
+        warnings.warn(
+            "inverse transform evaluated at the endpoint of an unbounded region; "
+            "result saturates to the far tail",
+            TailSaturationWarning,
+            stacklevel=3,
+        )
+    if narr.ndim == 0 and iarr.ndim == 0:
+        return float(np.asarray(y).reshape(())), float(np.asarray(jac).reshape(()))
+    return y, jac
 
 
 def unsoften(n, i, t: SofteningTransform):
@@ -254,11 +273,7 @@ def unsoften(n, i, t: SofteningTransform):
     +-inf; they are clamped to [N_EPS, 1 - N_EPS] first and a
     TailSaturationWarning is emitted.
     """
-    p, narr, iarr = _clamped_p(n, i, t, warn=True)
-    y = output_quantile(p, t.channel)
-    if narr.ndim == 0 and iarr.ndim == 0:
-        return float(np.asarray(y).reshape(()))
-    return y
+    return _checked_inverse(n, i, t)[0]
 
 
 def transform_jacobian(n, i, t: SofteningTransform):
@@ -268,21 +283,4 @@ def transform_jacobian(n, i, t: SofteningTransform):
     n inside (0, 1); saturates (with a warning) at the endpoints of
     unbounded regions where the density vanishes.
     """
-    p, narr, iarr = _clamped_p(n, i, t, warn=True)
-    y = output_quantile(p, t.channel)
-    val = output_density(y, t.channel) / t.deltas[np.asarray(iarr)]
-    if narr.ndim == 0 and np.asarray(iarr).ndim == 0:
-        return float(np.asarray(val).reshape(()))
-    return val
-
-
-def inverse_and_jacobian(n, i, t: SofteningTransform):
-    """Fused (g_i^{-1}(n), |g_i'| at that point); one quantile solve.
-
-    Hot-path helper for metric construction; no endpoint warning, silent
-    clamping only.
-    """
-    p, _, iarr = _clamped_p(n, i, t, warn=False)
-    y = output_quantile(p, t.channel)
-    jac = output_density(y, t.channel) / t.deltas[np.asarray(iarr)]
-    return y, jac
+    return _checked_inverse(n, i, t)[1]

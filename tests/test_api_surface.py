@@ -1,0 +1,36 @@
+"""The package's public names, and the names the benchmark's tracer wraps."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import softrec
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(softrec.__path__))
+
+
+@pytest.mark.parametrize("module", ["softrec"] + [f"softrec.{m}" for m in MODULES])
+def test_every_export_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_traced_boundaries_exist():
+    # the traced benchmark run replaces these module attributes; a renamed
+    # or deleted one would otherwise surface only when that run starts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (mod, attr)
+        for mod, attr in tracing.BOUNDARIES
+        if not hasattr(importlib.import_module(f"softrec.{mod}"), attr)
+    ]
+    assert missing == []

@@ -150,14 +150,6 @@ class TestOutputQuantile:
     def test_median_is_zero(self, ch4_0db):
         assert output_quantile(0.5, ch4_0db) == pytest.approx(0.0, abs=1e-10)
 
-    def test_complement_form_for_tiny_tails(self, ch4_0db):
-        # quantile of the upper tail stated as sf = q; survives q far below
-        # the 1 - p representable resolution
-        q = 1e-200
-        y = output_quantile(q, ch4_0db, complement=True)
-        assert np.isfinite(y)
-        assert output_sf(y, ch4_0db) == pytest.approx(q, rel=1e-6)
-
     def test_rejects_out_of_range(self, ch4_0db):
         with pytest.raises(ValueError):
             output_quantile(0.0, ch4_0db)

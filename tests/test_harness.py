@@ -17,7 +17,7 @@ from softrec.harness import (
     append_run_log,
     ber_sweep,
     direct_bit_llrs,
-    hard_rr_baseline_lapprs,
+    hard_rr_lapprs,
     mi_sweep,
     noise_variance_for_snr_db,
     run_protocol,
@@ -126,17 +126,15 @@ class TestHardBaseline:
         c = pam(2)
         ch = ChannelModel(c, 0.5)
         r = map_decision_regions(c, 0.5)
-        v0 = hard_rr_baseline_lapprs(0, c, r, ch)
-        v1 = hard_rr_baseline_lapprs(1, c, r, ch)
-        assert v0.values[0] == pytest.approx(BSC_LLR, rel=1e-12)
-        assert v1.values[0] == pytest.approx(-BSC_LLR, rel=1e-12)
+        table = hard_rr_lapprs(ch, r)
+        assert table[0, 0] == pytest.approx(BSC_LLR, rel=1e-12)
+        assert table[1, 0] == pytest.approx(-BSC_LLR, rel=1e-12)
 
     def test_symmetric_alphabet_antisymmetric_table(self):
         c = pam(4)
         ch = ChannelModel(c, 2.5)
         r = map_decision_regions(c, 2.5)
-        lo = hard_rr_baseline_lapprs(0, c, r, ch).values
-        hi = hard_rr_baseline_lapprs(3, c, r, ch).values
+        lo, hi = hard_rr_lapprs(ch, r)[[0, 3]]
         # mirrored symbols carry mirrored first-bit evidence
         assert lo[0] == pytest.approx(-hi[0], rel=1e-9)
 
@@ -171,13 +169,6 @@ class TestRunProtocol:
         np.testing.assert_array_equal(
             res.transcript.syndrome, syndrome(code, res.bob_bits)
         )
-
-    def test_tuple_unpacking(self):
-        res = run_protocol(tiny_spec(), seed=1)
-        a, b, t = res
-        np.testing.assert_array_equal(a, res.alice_bits)
-        np.testing.assert_array_equal(b, res.bob_bits)
-        assert t is res.transcript
 
     def test_deterministic_given_seed(self):
         r1 = run_protocol(tiny_spec(), seed=9)
@@ -351,6 +342,29 @@ class TestCrossCommitPin:
         assert res.bob_bits.tolist() == [0, 1, 1, 1, 0, 1, 0]
         assert res.alice_bits.tolist() == [1, 1, 1, 0, 1, 1, 0]
         assert (res.outcome.converged, res.outcome.iterations_used) == (True, 2)
+
+
+class TestRunLogOutcomes:
+    def test_ber_point_splits_frame_errors(self, tmp_path):
+        # the spec of TestCrossCommitPin; (undetected, not converged) per
+        # cell, in the sweep's cell order
+        spec = tiny_spec(
+            snr_grid_db=(1.0, 4.0),
+            schemes=SCHEMES,
+            configs=("base", "alternating"),
+            frames_per_point=8,
+            alpha=0.8,
+            master_seed=2024,
+        )
+        log = tmp_path / "run_log.jsonl"
+        ber_sweep(spec, log_path=log)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        for r in rows:
+            assert r["frame_errors"] == r["undetected_frames"] + r["not_converged_frames"]
+        assert [(r["undetected_frames"], r["not_converged_frames"]) for r in rows] == [
+            (1, 3), (3, 4), (2, 4), (0, 1),
+            (1, 1), (0, 0), (0, 0), (1, 0),
+        ]
 
 
 class TestCsvWriters:

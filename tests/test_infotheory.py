@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -131,6 +133,14 @@ class TestLeakage:
         for s2 in (25.0, 2.5, 0.25):
             t = build_transform(ChannelModel(pam4, s2), "alternating")
             assert abs(leakage(t)) <= 1e-9
+
+    def test_blind_to_a_broken_transform(self, t_base):
+        # sum_j P_j f(n, i | j) = dF_i holds for any cdf_edges, so even a
+        # transform whose regions no longer match its channel integrates to
+        # zero; breakage is the audit's Monte-Carlo and KS checks' job
+        edges = t_base.cdf_edges + np.array([0.0, 0.05, -0.05, 0.05, 0.0])
+        bad = dataclasses.replace(t_base, cdf_edges=edges, deltas=np.diff(edges))
+        assert abs(leakage(bad)) <= 1e-9
 
 
 class TestBoundCheck:

@@ -8,7 +8,6 @@ from softrec.constellation import bit_partitions
 from softrec.infotheory import transition_matrix
 from softrec.metrics import (
     LAPPR_CLAMP,
-    LapprVector,
     joint_conditional_density,
     joint_density_ratio_form,
     lappr,
@@ -78,13 +77,12 @@ class TestLappr:
                         expect = np.log(dens[list(zero)].sum()) - np.log(
                             dens[list(one)].sum()
                         )
-                        assert got.values[l] == pytest.approx(expect, rel=1e-8)
+                        assert got[l] == pytest.approx(expect, rel=1e-8)
 
     def test_alpha_scales_linearly(self, t_alt):
         base = lappr(0.3, 2, t_alt, alpha=1.0)
         scaled = lappr(0.3, 2, t_alt, alpha=0.65)
-        np.testing.assert_allclose(scaled.values, 0.65 * base.values, rtol=1e-12)
-        assert scaled.alpha == 0.65
+        np.testing.assert_allclose(scaled, 0.65 * base, rtol=1e-12)
 
     def test_batch_matches_scalar(self, t_base, rng):
         n = rng.uniform(0.05, 0.95, size=16)
@@ -93,12 +91,12 @@ class TestLappr:
         assert batch.shape == (16, 2)
         for k in range(16):
             single = lappr(float(n[k]), int(j[k]), t_base)
-            np.testing.assert_allclose(batch[k], single.values, rtol=1e-10)
+            np.testing.assert_allclose(batch[k], single, rtol=1e-10)
 
     def test_clamped_at_extremes(self, t_base):
         # deep in a tail one partition's mass underflows; the log ratio
         # must saturate at the clamp instead of overflowing
-        vals = lappr(1e-12, 0, t_base).values
+        vals = lappr(1e-12, 0, t_base)
         assert np.all(np.abs(vals) <= LAPPR_CLAMP + 1e-9)
         assert np.all(np.isfinite(vals))
 
@@ -109,19 +107,6 @@ class TestLappr:
             lappr(0.5, 7, t_base)
         with pytest.raises(ValueError):
             lappr(0.5, 0, t_base, alpha=0.0)
-
-
-class TestLapprVector:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LapprVector(values=np.array([np.nan, 0.0]), alpha=1.0)
-        with pytest.raises(ValueError):
-            LapprVector(values=np.array([1.0]), alpha=-0.5)
-
-    def test_plain_container_roundtrip(self):
-        v = LapprVector(values=np.array([1.0, -2.0]), alpha=0.5)
-        np.testing.assert_array_equal(v.values, [1.0, -2.0])
-        assert v.alpha == 0.5
 
 
 class TestPosteriorDecisions:

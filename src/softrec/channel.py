@@ -145,18 +145,6 @@ def _mixture_moments(ch: ChannelModel) -> tuple[float, float]:
     return mean, var
 
 
-def _expand_bracket(residual, edge: np.ndarray, span: float, outward: float) -> np.ndarray:
-    """Move bracket ends outward (``outward`` = -1 for lo, +1 for hi) by a
-    doubling step until the residual is <= 0 at every lo, >= 0 at every hi."""
-    for _ in range(100):
-        grow = outward * residual(edge) < 0
-        if not grow.any():
-            break
-        edge = np.where(grow, edge + outward * span, edge)
-        span *= 2.0
-    return edge
-
-
 def output_quantile(p, ch: ChannelModel):
     """Invert the output CDF: find y with F_Y(y) = p.
 
@@ -205,10 +193,20 @@ def output_quantile(p, ch: ChannelModel):
         upper = target_sf - np.sum(priors * ndtr(-z), axis=-1)
         return np.where(use_sf, upper, lower)
 
-    # Bracket [lo, hi]; expand geometrically until the residual changes sign.
+    # Bracket [lo, hi] with residual(lo) <= 0 <= residual(hi). The upper
+    # tail mass past max(a) + 10 sigma is at most Phi(-10) ~ 7.6e-24, below
+    # any double 1 - p >= 2**-53, so hi never needs to grow. F_Y(min(a) -
+    # 10 sigma) can exceed a tiny p, so lo moves outward by a doubling step
+    # until the residual there is <= 0.
+    hi = np.full(pv.shape, pts.max() + 10.0 * sig)
+    lo = np.full(pv.shape, pts.min() - 10.0 * sig)
     span = float(pts.max() - pts.min()) + 10.0 * sig
-    lo = _expand_bracket(residual, np.full(pv.shape, pts.min() - 10.0 * sig), span, -1.0)
-    hi = _expand_bracket(residual, np.full(pv.shape, pts.max() + 10.0 * sig), span, 1.0)
+    for _ in range(100):
+        grow = residual(lo) > 0
+        if not grow.any():
+            break
+        lo = np.where(grow, lo - span, lo)
+        span *= 2.0
 
     mean, var = _mixture_moments(ch)
     y = mean + np.sqrt(var) * ndtri(np.clip(pv, 1e-300, 1.0 - 1e-16))

@@ -23,8 +23,9 @@ codegen
 Configuration precedence: explicit flags > config file (YAML, unknown keys
 rejected) > built-in defaults. The default output directory comes from
 $SOFTREC_OUTDIR, falling back to the working directory. Every subcommand
-echoes its fully resolved configuration (defaults and seed included) to the
-JSON-lines run log in the output directory before computing anything.
+but codegen (whose --out names the alist file) echoes its fully resolved
+configuration (defaults and seed included) to the JSON-lines run log in the
+output directory before computing anything.
 
 Exit codes: 0 success, 1 audit/check failure, 2 usage or validation error.
 """
@@ -47,7 +48,6 @@ from .channel import ChannelModel, transmit
 from .constellation import pam
 from .harness import (
     MI_TARGETS,
-    SCHEMES,
     ExperimentSpec,
     append_run_log,
     ber_sweep,
@@ -68,113 +68,102 @@ KS_LEVEL = 0.01
 MC_BINS = 20
 
 
-class UsageError(Exception):
-    """Validation problem that maps to exit code 2."""
-
-
 # ---------------------------------------------------------------------------
-# Flag/file/default resolution
+# Options: one row per key, (help, argparse type, default). The flag is
+# "--" + key with "_" as "-", and the key is also the config-file key.
 
-_COMMON_KEYS = {"constellation", "snr", "out", "seed", "log_level"}
-_COMMAND_KEYS = {
-    "mi-sweep": _COMMON_KEYS | {"schemes", "configs", "mi_targets"},
-    "ber-sweep": _COMMON_KEYS
-    | {"schemes", "configs", "code", "alpha", "frames", "workers", "max_iters"},
-    "audit": _COMMON_KEYS | {"configs", "samples_per_decision"},
-    "reconcile": _COMMON_KEYS | {"config", "code", "alpha", "max_iters"},
-    "codegen": {"code", "out", "log_level"},
+_OPTIONS = {
+    "constellation": ("pamM", str, "pam4"),
+    "snr": ("grid start:stop:step, comma list, or single dB value", str, None),
+    "out": (
+        "output directory (default $SOFTREC_OUTDIR or .); "
+        "for codegen the alist file or directory (default stdout)",
+        str,
+        None,
+    ),
+    "seed": ("master seed", int, 0),
+    "log_level": ("debug/info/warning", str, "info"),
+    "schemes": ("comma list from direct,hard,rrs", str, "direct,hard,rrs"),
+    "configs": ("comma list of base/alternating/sign strings, or 'all'", str, "base,alternating"),
+    "config": ("one config: base/alternating/sign string", str, "base"),
+    "mi_targets": ("comma list of MI levels", str, ",".join(str(t) for t in MI_TARGETS)),
+    "code": ("code preset or alist path", str, "hamming74"),
+    "alpha": ("LAPPR scaling for rrs", float, 1.0),
+    "frames": ("max frames per point", int, 100),
+    "workers": ("process count", int, 1),
+    "max_iters": ("BP sweep cap", int, 100),
+    "samples_per_decision": ("Monte Carlo sample quota per decision", int, 100000),
 }
 
-_DEFAULTS = {
-    "constellation": "pam4",
-    "snr": None,
-    "out": None,
-    "seed": 0,
-    "log_level": "info",
-    "schemes": "direct,hard,rrs",
-    "configs": "base,alternating",
-    "config": "base",
-    "mi_targets": ",".join(str(t) for t in MI_TARGETS),
-    "code": "hamming74",
-    "alpha": 1.0,
-    "frames": 100,
-    "workers": 1,
-    "max_iters": 100,
-    "samples_per_decision": 100000,
-}
+_COMMON_KEYS = ("constellation", "snr", "out", "seed", "log_level")
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
-    allowed = _COMMAND_KEYS[command]
+    _, _, keys, overrides = _COMMANDS[args.command]
     from_file: dict = {}
-    if getattr(args, "config_file", None):
+    if args.config_file:
         path = Path(args.config_file)
         if not path.exists():
-            raise UsageError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         loaded = yaml.safe_load(path.read_text()) or {}
         if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a mapping")
-        unknown = sorted(set(loaded) - allowed)
+            raise ValueError("config file must hold a mapping")
+        unknown = sorted(set(loaded) - set(keys))
         if unknown:
-            raise UsageError(
-                f"unknown config keys for {command}: {', '.join(unknown)}"
+            raise ValueError(
+                f"unknown config keys for {args.command}: {', '.join(unknown)}"
             )
         from_file = loaded
     resolved = {}
-    for key in sorted(allowed):
-        flag = getattr(args, key, None)
+    for key in sorted(keys):
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
-        elif key in from_file:
-            resolved[key] = from_file[key]
         else:
-            resolved[key] = _DEFAULTS[key]
+            resolved[key] = from_file.get(key, overrides.get(key, _OPTIONS[key][2]))
     return resolved
 
 
 def _parse_snr(text) -> tuple:
     """Grid syntax: 'start:stop:step' (inclusive), 'a,b,c', or a single value."""
     if text is None:
-        raise UsageError("--snr is required")
+        raise ValueError("--snr is required")
     if isinstance(text, (int, float)):
         return (float(text),)
     s = str(text).strip()
     if ":" in s:
         parts = s.split(":")
         if len(parts) != 3:
-            raise UsageError(f"bad snr range {s!r}; expected start:stop:step")
+            raise ValueError(f"bad snr range {s!r}; expected start:stop:step")
         try:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
-            raise UsageError(f"bad snr range {s!r}") from None
+            raise ValueError(f"bad snr range {s!r}") from None
         if step <= 0:
-            raise UsageError("snr step must be > 0")
+            raise ValueError("snr step must be > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
-            raise UsageError(f"empty snr grid {s!r}")
+            raise ValueError(f"empty snr grid {s!r}")
         return tuple(float(start + k * step) for k in range(count))
     try:
         vals = tuple(float(p) for p in s.split(",") if p.strip())
     except ValueError:
-        raise UsageError(f"bad snr list {s!r}") from None
+        raise ValueError(f"bad snr list {s!r}") from None
     if not vals:
-        raise UsageError("empty snr grid")
+        raise ValueError("empty snr grid")
     return vals
 
 
 def _parse_constellation(text: str):
     s = str(text).strip().lower()
     if not s.startswith("pam"):
-        raise UsageError(f"unknown constellation {s!r}; expected pamM (e.g. pam4)")
+        raise ValueError(f"unknown constellation {s!r}; expected pamM (e.g. pam4)")
     try:
         order = int(s[3:])
     except ValueError:
-        raise UsageError(f"unknown constellation {s!r}") from None
-    try:
-        return pam(order)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+        raise ValueError(f"unknown constellation {s!r}") from None
+    return pam(order)
 
 
 def _parse_configs(text, order: int) -> tuple:
@@ -183,26 +172,19 @@ def _parse_configs(text, order: int) -> tuple:
         return tuple(enumerate_configs(order))
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
-        raise UsageError("empty config list")
-    try:
-        return tuple(MonotonicityConfig.from_string(p, order) for p in items)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+        raise ValueError("empty config list")
+    return tuple(MonotonicityConfig.from_string(p, order) for p in items)
 
 
 def _parse_schemes(text) -> tuple:
+    """Map aliases and drop repeats; ExperimentSpec rejects unknown names."""
     alias = {"hard-rr": "hard", "rr": "hard", "dr": "direct"}
     items = [alias.get(p.strip().lower(), p.strip().lower()) for p in str(text).split(",") if p.strip()]
-    for s in items:
-        if s not in SCHEMES:
-            raise UsageError(f"unknown scheme {s!r}; choose from {', '.join(SCHEMES)}")
-    if not items:
-        raise UsageError("empty scheme list")
     return tuple(dict.fromkeys(items))
 
 
 def _out_dir(resolved: dict) -> Path:
-    out = resolved.get("out") or os.environ.get("SOFTREC_OUTDIR") or "."
+    out = resolved["out"] or os.environ.get("SOFTREC_OUTDIR") or "."
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -215,7 +197,7 @@ def _echo_config(command: str, resolved: dict, out: Path) -> Path:
 
 
 def _setup_logging(resolved: dict) -> None:
-    level = getattr(logging, str(resolved.get("log_level", "info")).upper(), logging.INFO)
+    level = getattr(logging, str(resolved["log_level"]).upper(), logging.INFO)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -223,9 +205,7 @@ def _setup_logging(resolved: dict) -> None:
 # Subcommands
 
 
-def _cmd_mi_sweep(args) -> int:
-    resolved = _resolve(args, "mi-sweep")
-    _setup_logging(resolved)
+def _cmd_mi_sweep(resolved: dict) -> int:
     c = _parse_constellation(resolved["constellation"])
     spec = ExperimentSpec(
         constellation=c,
@@ -242,13 +222,8 @@ def _cmd_mi_sweep(args) -> int:
     return 0
 
 
-def _cmd_ber_sweep(args) -> int:
-    resolved = _resolve(args, "ber-sweep")
-    _setup_logging(resolved)
+def _cmd_ber_sweep(resolved: dict) -> int:
     c = _parse_constellation(resolved["constellation"])
-    frames = int(resolved["frames"])
-    if frames < 1:
-        raise UsageError("frames must be >= 1")
     spec = ExperimentSpec(
         constellation=c,
         snr_grid_db=_parse_snr(resolved["snr"]),
@@ -256,7 +231,7 @@ def _cmd_ber_sweep(args) -> int:
         configs=_parse_configs(resolved["configs"], c.order),
         code=str(resolved["code"]),
         alpha=float(resolved["alpha"]),
-        frames_per_point=frames,
+        frames_per_point=int(resolved["frames"]),
         master_seed=int(resolved["seed"]),
         workers=int(resolved["workers"]),
         max_iters=int(resolved["max_iters"]),
@@ -267,7 +242,7 @@ def _cmd_ber_sweep(args) -> int:
         "ber-sweep: %d points x %d schemes, <=%d frames each",
         len(spec.snr_grid_db),
         len(spec.schemes),
-        frames,
+        spec.frames_per_point,
     )
     ber_sweep(spec, out_dir=out, log_path=log_path)
     return 0
@@ -318,15 +293,13 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     return analytic, mc, ks_min
 
 
-def _cmd_audit(args) -> int:
-    resolved = _resolve(args, "audit")
-    _setup_logging(resolved)
+def _cmd_audit(resolved: dict) -> int:
     c = _parse_constellation(resolved["constellation"])
     grid = _parse_snr(resolved["snr"])
     configs = _parse_configs(resolved["configs"], c.order)
     samples = int(resolved["samples_per_decision"])
     if samples < 1:
-        raise UsageError("samples_per_decision must be >= 1")
+        raise ValueError("samples_per_decision must be >= 1")
     out = _out_dir(resolved)
     log_path = _echo_config("audit", resolved, out)
     seed = int(resolved["seed"])
@@ -367,11 +340,9 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _cmd_reconcile(args) -> int:
-    resolved = _resolve(args, "reconcile")
-    _setup_logging(resolved)
+def _cmd_reconcile(resolved: dict) -> int:
     c = _parse_constellation(resolved["constellation"])
-    snr = _parse_snr(resolved["snr"] if resolved["snr"] is not None else 3.0)
+    snr = _parse_snr(resolved["snr"])
     cfg = _parse_configs(resolved["config"], c.order)[0]
     spec = ExperimentSpec(
         constellation=c,
@@ -400,9 +371,7 @@ def _cmd_reconcile(args) -> int:
     return 0
 
 
-def _cmd_codegen(args) -> int:
-    resolved = _resolve(args, "codegen")
-    _setup_logging(resolved)
+def _cmd_codegen(resolved: dict) -> int:
     name = str(resolved["code"])
     text = to_alist(load_code(name))
     if resolved["out"]:
@@ -420,6 +389,40 @@ def _cmd_codegen(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+# command: (help, handler, option keys, defaults that differ from _OPTIONS)
+_COMMANDS = {
+    "mi-sweep": (
+        "mutual information curves and SNR-at-MI table",
+        _cmd_mi_sweep,
+        _COMMON_KEYS + ("schemes", "configs", "mi_targets"),
+        {},
+    ),
+    "ber-sweep": (
+        "Monte Carlo coded-BER runs",
+        _cmd_ber_sweep,
+        _COMMON_KEYS + ("schemes", "configs", "code", "alpha", "frames", "workers", "max_iters"),
+        {},
+    ),
+    "audit": (
+        "disclosure audit: leakage + uniformity checks",
+        _cmd_audit,
+        _COMMON_KEYS + ("configs", "samples_per_decision"),
+        {},
+    ),
+    "reconcile": (
+        "single-frame protocol demo",
+        _cmd_reconcile,
+        _COMMON_KEYS + ("config", "code", "alpha", "max_iters"),
+        {"snr": 3.0},
+    ),
+    "codegen": (
+        "emit a built-in parity-check matrix as alist",
+        _cmd_codegen,
+        ("code", "out", "log_level"),
+        {"code": "dvbs2-r12-64800"},
+    ),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -427,69 +430,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Softened reverse reconciliation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, code=False, schemes=False, configs=False, single_config=False):
+    for command, (summary, _, keys, overrides) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config-file", help="YAML config file (flags win)")
-        p.add_argument("--constellation", help="pamM, default pam4")
-        p.add_argument("--snr", help="grid start:stop:step, comma list, or single dB value")
-        p.add_argument("--out", help="output directory (default $SOFTREC_OUTDIR or .)")
-        p.add_argument("--seed", type=int, help="master seed, default 0")
-        p.add_argument("--log-level", dest="log_level", help="debug/info/warning")
-        if schemes:
-            p.add_argument("--schemes", help="comma list from direct,hard,rrs")
-        if configs:
-            p.add_argument("--configs", help="comma list of base/alternating/sign strings, or 'all'")
-        if single_config:
-            p.add_argument("--config", help="one config: base/alternating/sign string")
-        if code:
-            p.add_argument("--code", help="code preset or alist path")
-
-    p = sub.add_parser("mi-sweep", help="mutual information curves and SNR-at-MI table")
-    common(p, schemes=True, configs=True)
-    p.add_argument("--mi-targets", dest="mi_targets", help="comma list of MI levels")
-    p.set_defaults(func=_cmd_mi_sweep)
-
-    p = sub.add_parser("ber-sweep", help="Monte Carlo coded-BER runs")
-    common(p, code=True, schemes=True, configs=True)
-    p.add_argument("--alpha", type=float, help="LAPPR scaling for rrs, default 1.0")
-    p.add_argument("--frames", type=int, help="max frames per point")
-    p.add_argument("--workers", type=int, help="process count")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="BP sweep cap")
-    p.set_defaults(func=_cmd_ber_sweep)
-
-    p = sub.add_parser("audit", help="disclosure audit: leakage + uniformity checks")
-    common(p, configs=True)
-    p.add_argument(
-        "--samples-per-decision",
-        dest="samples_per_decision",
-        type=int,
-        help="Monte Carlo sample quota per decision, default 100000",
-    )
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("reconcile", help="single-frame protocol demo")
-    common(p, code=True, single_config=True)
-    p.add_argument("--alpha", type=float, help="LAPPR scaling, default 1.0")
-    p.add_argument("--max-iters", dest="max_iters", type=int, help="BP sweep cap")
-    p.set_defaults(func=_cmd_reconcile)
-
-    p = sub.add_parser("codegen", help="emit a built-in parity-check matrix as alist")
-    p.add_argument("--config-file", help="YAML config file (flags win)")
-    p.add_argument("--code", help="preset name, default dvbs2-r12-64800")
-    p.add_argument("--out", help="output file or directory")
-    p.add_argument("--log-level", dest="log_level", help="debug/info/warning")
-    p.set_defaults(func=_cmd_codegen)
+        for key in keys:
+            text, kind, default = _OPTIONS[key]
+            default = overrides.get(key, default)
+            if default is not None:
+                text = f"{text}, default {default}"
+            # default stays None so that _resolve can tell an unset flag
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "codegen" and getattr(args, "code", None) is None:
-        args.code = "dvbs2-r12-64800"
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (UsageError, ValueError) as e:
+        resolved = _resolve(args)
+        _setup_logging(resolved)
+        return _COMMANDS[args.command][1](resolved)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

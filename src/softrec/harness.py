@@ -605,37 +605,14 @@ def write_snr_at_mi_csv(rows: list[dict], path) -> None:
     )
 
 
+_BER_COLUMNS = (
+    "snr_db", "scheme", "config", "alpha", "frames",
+    "bit_errors", "ber", "ber_ci_lo", "ber_ci_hi", "fer",
+)
+
+
 def write_ber_csv(points: list[BerPoint], path) -> None:
-    _write_rows(
-        path,
-        [
-            "snr_db",
-            "scheme",
-            "config",
-            "alpha",
-            "frames",
-            "bit_errors",
-            "ber",
-            "ber_ci_lo",
-            "ber_ci_hi",
-            "fer",
-        ],
-        [
-            (
-                p.snr_db,
-                p.scheme,
-                p.config,
-                p.alpha,
-                p.frames,
-                p.bit_errors,
-                p.ber,
-                p.ber_ci_lo,
-                p.ber_ci_hi,
-                p.fer,
-            )
-            for p in points
-        ],
-    )
+    _write_rows(path, _BER_COLUMNS, [tuple(getattr(p, k) for k in _BER_COLUMNS) for p in points])
 
 
 def append_run_log(path, record: dict) -> None:

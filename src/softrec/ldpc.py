@@ -72,9 +72,9 @@ class LdpcCode:
     chk_var: np.ndarray
     # Derived, filled in __post_init__: per-edge check index, and the
     # variable-major view of the same edges for the decoder's second pass.
-    edge_chk: np.ndarray = field(repr=False, default=None)
-    var_ptr: np.ndarray = field(repr=False, default=None)
-    var_edge: np.ndarray = field(repr=False, default=None)
+    edge_chk: np.ndarray = field(init=False, repr=False)
+    var_ptr: np.ndarray = field(init=False, repr=False)
+    var_edge: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         chk_ptr = np.asarray(self.chk_ptr, dtype=np.int64)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class SofteningTransform:
     regions: DecisionRegions
     config: MonotonicityConfig
     cdf_edges: np.ndarray
-    deltas: np.ndarray
+    deltas: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         m = self.regions.count
@@ -140,6 +140,7 @@ class SofteningTransform:
             raise ValueError(f"config has {len(self.config.signs)} signs for {m} regions")
         if self.cdf_edges.shape != (m + 1,):
             raise ValueError("cdf_edges must have one entry per region edge")
+        object.__setattr__(self, "deltas", np.diff(self.cdf_edges))
         if not np.all(self.deltas > 0):
             raise ValueError("every region must carry positive probability mass")
         if abs(self.deltas.sum() - 1.0) > _EDGE_SUM_TOL:
@@ -171,10 +172,7 @@ def build_transform(
         config = MonotonicityConfig.from_string(config, m)
     inner = output_cdf(regions.boundaries, ch) if m > 1 else np.empty(0)
     edges = np.concatenate(([0.0], np.atleast_1d(inner), [1.0]))
-    deltas = np.diff(edges)
-    return SofteningTransform(
-        channel=ch, regions=regions, config=config, cdf_edges=edges, deltas=deltas
-    )
+    return SofteningTransform(channel=ch, regions=regions, config=config, cdf_edges=edges)
 
 
 def soften(y, t: SofteningTransform):

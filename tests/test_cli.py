@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,45 @@ import pytest
 import softrec.cli as cli
 from softrec.channel import ChannelModel
 from softrec.softening import build_transform
+
+
+_FLAGS = {
+    "mi-sweep": {"configs", "constellation", "log-level", "mi-targets", "out", "schemes", "seed", "snr"},
+    "ber-sweep": {
+        "alpha", "code", "configs", "constellation", "frames", "log-level",
+        "max-iters", "out", "schemes", "seed", "snr", "workers",
+    },
+    "audit": {"configs", "constellation", "log-level", "out", "samples-per-decision", "seed", "snr"},
+    "reconcile": {
+        "alpha", "code", "config", "constellation", "log-level", "max-iters", "out", "seed", "snr",
+    },
+    "codegen": {"code", "log-level", "out"},
+}
+
+_COMMON = {"constellation": "pam4", "log_level": "info", "seed": 0}
+_CONFIG_EVENTS = [
+    (
+        ["mi-sweep", "--snr", "0", "--schemes", "hard"],
+        {**_COMMON, "snr": "0", "schemes": "hard", "configs": "base,alternating",
+         "mi_targets": "1.75,1.0,0.75,0.3,0.1,0.01"},
+    ),
+    (
+        ["ber-sweep", "--snr", "6", "--frames", "1"],
+        {**_COMMON, "snr": "6", "frames": 1, "schemes": "direct,hard,rrs",
+         "configs": "base,alternating", "code": "hamming74", "alpha": 1.0,
+         "max_iters": 100, "workers": 1},
+    ),
+    (
+        ["audit", "--snr", "0", "--samples-per-decision", "2000"],
+        {**_COMMON, "snr": "0", "configs": "base,alternating", "samples_per_decision": 2000},
+    ),
+    (
+        # reconcile's own snr default is part of the echo
+        ["reconcile"],
+        {**_COMMON, "snr": 3.0, "config": "base", "code": "hamming74", "alpha": 1.0,
+         "max_iters": 100},
+    ),
+]
 
 
 def run(argv, capsys=None):
@@ -54,9 +94,9 @@ class TestArgumentHandling:
         assert cli._parse_snr(text) == expect
 
     def test_snr_step_sign(self):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             cli._parse_snr("5:1:0.5")
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(ValueError):
             cli._parse_snr("1:5:0")
 
 
@@ -282,11 +322,40 @@ class TestAuditCommand:
 
 
 class TestParserSmoke:
-    def test_help_exits_zero(self):
+    @pytest.mark.parametrize(
+        "argv", [[]] + [[c] for c in sorted(_FLAGS)], ids=["softrec"] + sorted(_FLAGS)
+    )
+    def test_help_exits_zero(self, argv):
         with pytest.raises(SystemExit) as e:
-            cli.build_parser().parse_args(["--help"])
+            cli.build_parser().parse_args(argv + ["--help"])
         assert e.value.code == 0
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["frobnicate"])
+
+
+class TestCliSurface:
+    """The flag set of each subcommand and the resolved configuration it echoes."""
+
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_option_strings(self, command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {o for a in sub.choices[command]._actions for o in a.option_strings}
+        assert options == {"--" + f for f in _FLAGS[command]} | {"--config-file", "-h", "--help"}
+
+    @pytest.mark.parametrize("argv,expect", _CONFIG_EVENTS, ids=[a[0] for a, _ in _CONFIG_EVENTS])
+    def test_config_event(self, argv, expect, tmp_path):
+        out = tmp_path / "o"
+        assert run(argv + ["--out", str(out)]) == 0
+        first = json.loads((out / "run_log.jsonl").read_text().splitlines()[0])
+        assert first == {"event": "config", "command": argv[0], "out": str(out), **expect}
+
+    def test_codegen_code_from_config_file(self, tmp_path, capsys):
+        from softrec.ldpc import parse_alist
+
+        cfg = tmp_path / "cg.yaml"
+        cfg.write_text("code: hamming74\n")
+        assert run(["codegen", "--config-file", str(cfg)]) == 0
+        assert parse_alist(capsys.readouterr().out).n == 7

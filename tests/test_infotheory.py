@@ -139,7 +139,7 @@ class TestLeakage:
         # transform whose regions no longer match its channel integrates to
         # zero; breakage is the audit's Monte-Carlo and KS checks' job
         edges = t_base.cdf_edges + np.array([0.0, 0.05, -0.05, 0.05, 0.0])
-        bad = dataclasses.replace(t_base, cdf_edges=edges, deltas=np.diff(edges))
+        bad = dataclasses.replace(t_base, cdf_edges=edges)
         assert abs(leakage(bad)) <= 1e-9
 
 

@@ -28,7 +28,8 @@ __all__ = [
     "QUANTILE_TOL",
 ]
 
-# Absolute tolerance of the quantile solve, in probability space.
+# Relative tolerance of the quantile solve, in probability space: it stops at
+# |F_Y(y) - p| <= 2 * QUANTILE_TOL * min(p, 1 - p).
 QUANTILE_TOL = 1e-12
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -100,13 +101,22 @@ def _shaped(arr: np.ndarray, vals):
     return vals
 
 
+def _cdf(z, ch: ChannelModel):
+    """sum_j P_j Phi(z_j) over the last axis of the standardised distances."""
+    return np.sum(ch.constellation.priors * ndtr(z), axis=-1)
+
+
+def _density(z, ch: ChannelModel):
+    """sum_j P_j phi(z_j) / sigma over the last axis of the standardised distances."""
+    return np.sum(ch.constellation.priors * np.exp(-0.5 * z * z), axis=-1) / (
+        np.sqrt(2.0 * np.pi) * ch.sigma
+    )
+
+
 def output_density(y, ch: ChannelModel):
     """Mixture density f_Y(y); strictly positive, integrates to 1."""
     arr, z = _mixture_z(y, ch, "output_density")
-    vals = np.sum(ch.constellation.priors * np.exp(-0.5 * z * z), axis=-1) / (
-        np.sqrt(2.0 * np.pi) * ch.sigma
-    )
-    return _shaped(arr, vals)
+    return _shaped(arr, _density(z, ch))
 
 
 def log_output_density(y, ch: ChannelModel):
@@ -127,22 +137,13 @@ def output_cdf(y, ch: ChannelModel):
     mass itself is needed.
     """
     arr, z = _mixture_z(y, ch, "output_cdf")
-    return _shaped(arr, np.sum(ch.constellation.priors * ndtr(z), axis=-1))
+    return _shaped(arr, _cdf(z, ch))
 
 
 def output_sf(y, ch: ChannelModel):
     """Survival function P(Y > y); accurate (relative) in the upper tail."""
     arr, z = _mixture_z(y, ch, "output_sf")
-    return _shaped(arr, np.sum(ch.constellation.priors * ndtr(-z), axis=-1))
-
-
-def _mixture_moments(ch: ChannelModel) -> tuple[float, float]:
-    mean = float(np.sum(ch.constellation.priors * ch.constellation.points))
-    var = float(
-        np.sum(ch.constellation.priors * (ch.constellation.points - mean) ** 2)
-        + ch.noise_variance
-    )
-    return mean, var
+    return _shaped(arr, _cdf(-z, ch))
 
 
 def output_quantile(p, ch: ChannelModel):
@@ -150,8 +151,8 @@ def output_quantile(p, ch: ChannelModel):
 
     Safeguarded Newton iteration with a per-element bisection bracket,
     starting from the single-Gaussian moment-matched guess. Terminates at
-    |F_Y(y) - p| <= QUANTILE_TOL or a machine-width bracket; strictly
-    increasing in p.
+    |F_Y(y) - p| <= 2 * QUANTILE_TOL * min(p, 1 - p) or a machine-width
+    bracket; strictly increasing in p.
 
     Parameters
     ----------
@@ -172,26 +173,23 @@ def output_quantile(p, ch: ChannelModel):
     scalar = arr.ndim == 0
     pv = np.atleast_1d(arr.astype(float)).reshape(-1)
 
-    # Evaluate the residual on whichever tail is well conditioned for each
-    # element. Switching branches costs nothing because 1 - p is exact for
-    # p >= 1/2 (Sterbenz); the given value is never degraded.
-    use_sf = pv > 0.5
-    target_sf = np.where(use_sf, 1.0 - pv, 0.0)
-    target_cdf = np.where(use_sf, 0.0, pv)
-    # Branch-local target magnitude, for the relative part of the tolerance.
-    teff = np.where(use_sf, target_sf, target_cdf)
-    tol = QUANTILE_TOL * np.minimum(1.0, 2.0 * teff)
+    # Solve on whichever tail is well conditioned for each element: the
+    # upper one (sgn = -1) where p > 1/2, where 1 - p is exact (Sterbenz), so
+    # the given value is never degraded. _cdf(-z) is the survival function,
+    # and sgn * (_cdf(sgn * z) - target) increases in y on both tails.
+    upper = pv > 0.5
+    sgn = np.where(upper, -1.0, 1.0)
+    target = np.where(upper, 1.0 - pv, pv)
+    # Relative to the chosen tail's mass, which is at most 1/2.
+    tol = 2.0 * QUANTILE_TOL * target
 
     pts = ch.constellation.points
-    priors = ch.constellation.priors
     sig = ch.sigma
 
-    def residual(y: np.ndarray) -> np.ndarray:
-        # Increasing in y on both branches.
-        z = (y[:, None] - pts) / sig
-        lower = np.sum(priors * ndtr(z), axis=-1) - target_cdf
-        upper = target_sf - np.sum(priors * ndtr(-z), axis=-1)
-        return np.where(use_sf, upper, lower)
+    def residual(y: np.ndarray):
+        """(residual, density) at y; z carries the sign, which z * z drops."""
+        z = sgn[:, None] * ((y[:, None] - pts) / sig)
+        return sgn * (_cdf(z, ch) - target), _density(z, ch)
 
     # Bracket [lo, hi] with residual(lo) <= 0 <= residual(hi). The upper
     # tail mass past max(a) + 10 sigma is at most Phi(-10) ~ 7.6e-24, below
@@ -202,20 +200,22 @@ def output_quantile(p, ch: ChannelModel):
     lo = np.full(pv.shape, pts.min() - 10.0 * sig)
     span = float(pts.max() - pts.min()) + 10.0 * sig
     for _ in range(100):
-        grow = residual(lo) > 0
+        grow = residual(lo)[0] > 0
         if not grow.any():
             break
         lo = np.where(grow, lo - span, lo)
         span *= 2.0
 
-    mean, var = _mixture_moments(ch)
+    priors = ch.constellation.priors
+    mean = float(np.sum(priors * pts))
+    var = float(np.sum(priors * (pts - mean) ** 2) + ch.noise_variance)
     y = mean + np.sqrt(var) * ndtri(np.clip(pv, 1e-300, 1.0 - 1e-16))
     y = np.clip(y, lo, hi)
 
     active = np.ones(pv.shape, dtype=bool)
     for _ in range(200):
-        r = residual(y)
-        f = np.maximum(output_density(y, ch), 1e-300)
+        r, f = residual(y)
+        f = np.maximum(f, 1e-300)
         # Tighten the bracket from the current iterate.
         below = r < 0
         lo = np.where(active & below, y, lo)

@@ -98,6 +98,24 @@ _OPTIONS = {
 _COMMON_KEYS = ("constellation", "snr", "out", "seed", "log_level")
 
 
+def _typed(key: str, value):
+    """A config-file value converted with its option's type, as a flag is.
+
+    A str option keeps the value as read. A numeric option rejects a bool,
+    and an int option a non-integral number, so 2.7 is an error, not 2.
+    """
+    kind = _OPTIONS[key][1]
+    if kind is str:
+        return value
+    try:
+        typed = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        typed = None
+    if typed is None or (kind is int and isinstance(value, float) and typed != value):
+        raise ValueError(f"config key {key}: expected {kind.__name__}, got {value!r}")
+    return typed
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
     _, _, keys, overrides = _COMMANDS[args.command]
@@ -114,7 +132,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise ValueError(
                 f"unknown config keys for {args.command}: {', '.join(unknown)}"
             )
-        from_file = loaded
+        from_file = {key: _typed(key, value) for key, value in loaded.items()}
     resolved = {}
     for key in sorted(keys):
         flag = getattr(args, key)
@@ -212,7 +230,7 @@ def _cmd_mi_sweep(resolved: dict) -> int:
         snr_grid_db=_parse_snr(resolved["snr"]),
         schemes=_parse_schemes(resolved["schemes"]),
         configs=_parse_configs(resolved["configs"], c.order),
-        master_seed=int(resolved["seed"]),
+        master_seed=resolved["seed"],
     )
     targets = tuple(float(t) for t in str(resolved["mi_targets"]).split(",") if t.strip())
     out = _out_dir(resolved)
@@ -230,11 +248,11 @@ def _cmd_ber_sweep(resolved: dict) -> int:
         schemes=_parse_schemes(resolved["schemes"]),
         configs=_parse_configs(resolved["configs"], c.order),
         code=str(resolved["code"]),
-        alpha=float(resolved["alpha"]),
-        frames_per_point=int(resolved["frames"]),
-        master_seed=int(resolved["seed"]),
-        workers=int(resolved["workers"]),
-        max_iters=int(resolved["max_iters"]),
+        alpha=resolved["alpha"],
+        frames_per_point=resolved["frames"],
+        master_seed=resolved["seed"],
+        workers=resolved["workers"],
+        max_iters=resolved["max_iters"],
     )
     out = _out_dir(resolved)
     log_path = _echo_config("ber-sweep", resolved, out)
@@ -297,12 +315,12 @@ def _cmd_audit(resolved: dict) -> int:
     c = _parse_constellation(resolved["constellation"])
     grid = _parse_snr(resolved["snr"])
     configs = _parse_configs(resolved["configs"], c.order)
-    samples = int(resolved["samples_per_decision"])
+    samples = resolved["samples_per_decision"]
     if samples < 1:
         raise ValueError("samples_per_decision must be >= 1")
     out = _out_dir(resolved)
     log_path = _echo_config("audit", resolved, out)
-    seed = int(resolved["seed"])
+    seed = resolved["seed"]
     failures = []
     for cell, (snr, cfg) in enumerate(
         (s, cf) for s in grid for cf in configs
@@ -349,9 +367,9 @@ def _cmd_reconcile(resolved: dict) -> int:
         snr_grid_db=snr,
         configs=(cfg,),
         code=str(resolved["code"]),
-        alpha=float(resolved["alpha"]),
-        master_seed=int(resolved["seed"]),
-        max_iters=int(resolved["max_iters"]),
+        alpha=resolved["alpha"],
+        master_seed=resolved["seed"],
+        max_iters=resolved["max_iters"],
     )
     out = _out_dir(resolved)
     _echo_config("reconcile", resolved, out)

@@ -55,7 +55,6 @@ __all__ = [
     "SCHEMES",
     "MI_TARGETS",
     "ExperimentSpec",
-    "FrameResult",
     "BerPoint",
     "Transcript",
     "ProtocolResult",
@@ -163,18 +162,6 @@ class ExperimentSpec:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         load_code(self.code)
-
-
-@dataclass(frozen=True)
-class FrameResult:
-    """Outcome of a single simulated frame."""
-
-    snr_db: float
-    scheme: str
-    bit_errors: int
-    frame_errors: int
-    iterations: int
-    converged: bool
 
 
 @dataclass(frozen=True)
@@ -447,22 +434,15 @@ _SCHEME_INDEX = {s: k for k, s in enumerate(SCHEMES)}
 _BATCH = 16  # stop-rule evaluation granularity, fixed so results do not depend on workers
 
 
-def _ber_frame(task) -> FrameResult:
+def _ber_frame(task) -> tuple[int, int, bool]:
+    """One sweep frame: (bit errors, decoder iterations, converged)."""
     cell, frame = task
     seed = np.random.SeedSequence(
         cell.spec.master_seed,
         spawn_key=(cell.point, _SCHEME_INDEX[cell.scheme], cell.cfg_idx, frame),
     )
     out, target, _, _ = _frame(cell, np.random.default_rng(seed))
-    nerr = int(np.count_nonzero(out.bits != target))
-    return FrameResult(
-        snr_db=cell.snr_db,
-        scheme=cell.scheme,
-        bit_errors=nerr,
-        frame_errors=int(nerr > 0),
-        iterations=out.iterations_used,
-        converged=out.converged,
-    )
+    return int(np.count_nonzero(out.bits != target)), out.iterations_used, out.converged
 
 
 def _wilson(k: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
@@ -514,12 +494,14 @@ def ber_sweep(
             stopped = False
             while frames < spec.frames_per_point and not stopped:
                 batch = min(_BATCH, spec.frames_per_point - frames)
-                for fr in run(_ber_frame, [(cell, frames + b) for b in range(batch)]):
-                    bit_err += fr.bit_errors
-                    frame_err += fr.frame_errors
-                    iters += fr.iterations
-                    if fr.converged:
-                        undetected += fr.frame_errors
+                for nerr, used, converged in run(
+                    _ber_frame, [(cell, frames + b) for b in range(batch)]
+                ):
+                    bit_err += nerr
+                    frame_err += nerr > 0
+                    iters += used
+                    if converged:
+                        undetected += nerr > 0
                     else:
                         not_converged += 1
                 frames += batch

@@ -107,19 +107,6 @@ def joint_density_ratio_form(n, i, j, t: SofteningTransform):
     return out
 
 
-def _log_joint_all_decisions(n, j, t: SofteningTransform):
-    """log f(n, i | j) for every decision i; shapes (..., M).
-
-    One vectorized quantile solve covers all regions.
-    """
-    m = t.order
-    narr = np.asarray(n, dtype=float)
-    jarr = np.asarray(j)
-    i_all = np.arange(m)
-    y, _ = inverse_and_jacobian(narr[..., None], i_all, t)
-    return _log_joint_from_y(y, i_all, jarr[..., None], t)
-
-
 def posterior_decisions(n, j, t: SofteningTransform):
     """Posterior over the receiver's decision given (sent symbol, metric).
 
@@ -127,7 +114,9 @@ def posterior_decisions(n, j, t: SofteningTransform):
     computed by a log-domain softmax so high-SNR ratios cannot underflow to
     an all-zero numerator.
     """
-    logf = _log_joint_all_decisions(n, j, t)
+    logf = log_joint_conditional_density(
+        np.asarray(n, dtype=float)[..., None], np.arange(t.order), np.asarray(j)[..., None], t
+    )
     logz = logsumexp(logf, axis=-1, keepdims=True)
     return np.exp(logf - logz)
 
@@ -206,5 +195,8 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     jarr = np.asarray(j)
     if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
         raise ValueError("symbol index out of range")
-    logf = _log_joint_all_decisions(np.asarray(n, dtype=float), jarr, t)
+    # One vectorized quantile solve covers all M decision hypotheses.
+    logf = log_joint_conditional_density(
+        np.asarray(n, dtype=float)[..., None], np.arange(t.order), jarr[..., None], t
+    )
     return bit_lapprs(logf, t.channel.constellation, alpha)

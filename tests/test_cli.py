@@ -139,6 +139,30 @@ class TestConfigFilePrecedence:
         cfg.write_text("snr: '0'\nframes: 5\n")  # frames is ber-sweep only
         assert run(["mi-sweep", "--config-file", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [("frames: 2.7", "frames"), ("seed: 1.9", "seed"), ("seed: true", "seed"),
+         ("workers: null", "workers"), ("max_iters: [5]", "max_iters"),
+         ("alpha: false", "alpha"), ("alpha: fast", "alpha")],
+    )
+    def test_file_value_of_wrong_type_rejected(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"snr: 6\n{text}\n")
+        assert run(["ber-sweep", "--config-file", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config key {key}:" in capsys.readouterr().err
+
+    def test_file_values_take_the_option_type(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("snr: 6\nframes: 1.0\nalpha: 1\nseed: '3'\nschemes: direct\n")
+        out = tmp_path / "o"
+        assert run(["ber-sweep", "--config-file", str(cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "run_log.jsonl").read_text().splitlines()[0])
+        # the echo is what ran: 1.0 frames is the int 1, alpha 1 the float 1.0
+        assert [(config[k], type(config[k])) for k in ("frames", "alpha", "seed", "snr")] == [
+            (1, int), (1.0, float), (3, int), (6, int),
+        ]
+        assert (out / "ber.csv").read_text().splitlines()[1].split(",")[4] == "1"
+
     def test_config_event_precedes_results(self, tmp_path):
         out = tmp_path / "o"
         assert run(["mi-sweep", "--snr", "0", "--schemes", "hard", "--out", str(out)]) == 0

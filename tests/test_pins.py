@@ -1,15 +1,18 @@
 """Exact values of the soft-information layer, pinned across refactors.
 
 Every number below was recorded before the mixture kernel, the inverse and
-the bit marginaliser were folded into shared helpers, and the comparisons
-are exact float equality: a refactor that reorders one floating-point
-operation shows up here. Only names that exist on both sides of that
+the bit marginaliser were folded into shared helpers; ``TestSolverPins``
+was recorded before the quantile solve moved onto the shared CDF and
+density kernels. The comparisons are exact float equality (or a digest of
+the exact bytes): a refactor that reorders one floating-point operation
+shows up here. Only names that exist on both sides of that
 refactor are used, so the file runs unchanged on either; the hard-decision
 table is reached through the hard scheme's per-frame step for that reason.
 """
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -22,6 +25,7 @@ from softrec.channel import (
     output_density,
     output_quantile,
     output_sf,
+    transmit,
 )
 from softrec.constellation import pam
 from softrec.harness import (
@@ -33,7 +37,7 @@ from softrec.harness import (
 )
 from softrec.infotheory import leakage, mi_direct, mi_hard, mi_rrs
 from softrec.metrics import lappr_batch
-from softrec.softening import build_transform, transform_jacobian, unsoften
+from softrec.softening import build_transform, soften, transform_jacobian, unsoften
 
 
 class TestChannelPins:
@@ -228,3 +232,47 @@ class TestInformationPins:
             t = build_transform(ch, cfg)
             value, err = mi_rrs(t, with_error=True)
             assert (value, err, leakage(t)) == self.RRS[(snr, cfg)]
+
+
+class TestSolverPins:
+    # One 32,400-symbol PAM-4 frame at 3.5 dB; the metric is forced to 0, 1
+    # and 1e-300 at three slots (the clamped ends and a subnormal-scale p).
+    LAPPR_SHA256 = {
+        "alternating": "9e0de20720b7b0b663ea88b8bc05ac5f633a809e13925099a8b46584db83598a",
+        "base": "f15a53bed8abf408924e82b1e6485b6a7dfc343796b2ae0f3d50cd734e3df6a2",
+        "+--+": "ea6e6f509ba06a9b95a6537188bb3182949b6554514a414fad27b93c39b2d3ed",
+    }
+    P = [
+        1e-200, 1e-30, 1e-12, 1e-06, 0.01, 0.3, 0.5, 0.7,
+        0.97, 0.975, 0.99, 0.999999, 1 - 1e-12, 0.9999999999999999,
+    ]
+    # PAM-4 with 0.97 of the prior on the lowest point: near-flat CDF
+    # stretches at sigma^2 = 1e-4, a far-reaching lower tail at 250.
+    SKEWED_Q = {
+        1e-4: [
+            -3.205336364080157, -3.1146138722285426, -3.070302352743009, -3.0474726516342856,
+            -3.023148972354601, -3.0049789691614004, -2.9996122799516294, -2.994122513728479,
+            -1.4906293603614476, -1.0, 2.0346270760079572, 3.037190164854484,
+            3.0636134429972577, 3.076371721053417,
+        ],
+        250.0: [
+            -480.57657067114536, -184.22458850368704, -114.17183726217932, -78.09207078770014,
+            -39.69581850057022, -11.181624999735229, -2.881758528595339, 5.419062477016478,
+            26.895005136096817, 28.148799057027162, 33.95155571102138, 72.41557345830749,
+            108.62163371856843, 127.30291836749628,
+        ],
+    }
+
+    def test_frame_lapprs(self, pam4):
+        ch = ChannelModel(pam4, noise_variance_for_snr_db(3.5, pam4))
+        x = np.random.default_rng(20241).integers(0, 4, size=32400)
+        for cfg, digest in self.LAPPR_SHA256.items():
+            t = build_transform(ch, cfg)
+            n, _ = soften(transmit(x, ch, np.random.default_rng(7)), t)
+            n[[5, 16000, 32399]] = [0.0, 1.0, 1e-300]
+            assert hashlib.sha256(lappr_batch(n, x, t).tobytes()).hexdigest() == digest, cfg
+
+    @pytest.mark.parametrize("var", [1e-4, 250.0])
+    def test_skewed_prior_quantile(self, var):
+        ch = ChannelModel(pam(4, priors=[0.97, 0.01, 0.01, 0.01]), var)
+        assert output_quantile(np.array(self.P), ch).tolist() == self.SKEWED_Q[var]

@@ -20,6 +20,7 @@ from softrec.constellation import (
 )
 from softrec.channel import (
     ChannelModel,
+    QuantileWarning,
     output_cdf,
     output_density,
     output_quantile,
@@ -81,6 +82,7 @@ __all__ = [
     "map_decision_regions",
     "pam",
     "ChannelModel",
+    "QuantileWarning",
     "output_cdf",
     "output_density",
     "output_quantile",

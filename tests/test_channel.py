@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
+import softrec
+import softrec.channel as channel
 from softrec.channel import (
+    QUANTILE_TOL,
     ChannelModel,
+    QuantileWarning,
     log_output_density,
     output_cdf,
     output_density,
@@ -14,6 +22,10 @@ from softrec.channel import (
     output_sf,
     transmit,
 )
+from softrec.constellation import pam
+from softrec.harness import noise_variance_for_snr_db
+from softrec.metrics import lappr_batch
+from softrec.softening import build_transform, soften
 
 # Frozen against a direct Gaussian-mixture evaluation (scipy.special.ndtr),
 # PAM-4 {-3,-1,1,3}, uniform priors, sigma^2 = 2.5.
@@ -155,3 +167,114 @@ class TestOutputQuantile:
             output_quantile(0.0, ch4_0db)
         with pytest.raises(ValueError):
             output_quantile(1.0, ch4_0db)
+
+
+SKEWED = (0.97, 0.01, 0.01, 0.01)
+VAR_3_5_DB = noise_variance_for_snr_db(3.5, pam(4))
+
+
+def _channel(priors, log_var):
+    return ChannelModel(pam(4, priors=priors), 10.0**log_var)
+
+
+def _probabilities(lowest, upper_floor):
+    """Lists of p, log-spaced from 10**lowest up to 1/2 in the lower tail and
+    from 1/2 up to 1 - 10**upper_floor in the upper one."""
+    one = st.tuples(
+        st.floats(min_value=lowest, max_value=float(np.log10(0.5))), st.booleans()
+    ).map(lambda e: 1.0 - 10.0 ** max(e[0], upper_floor) if e[1] else 10.0 ** e[0])
+    return st.lists(one, min_size=1, max_size=16).map(np.array)
+
+
+_CHANNELS = st.builds(
+    _channel,
+    st.sampled_from([None, SKEWED]),
+    st.floats(min_value=-4.0, max_value=float(np.log10(250.0))),
+)
+
+
+def _tail_residual(y, p, ch):
+    """sgn * (tail mass at y - target), in the tail the solver works in."""
+    upper = p > 0.5
+    tail = np.where(upper, output_sf(y, ch), output_cdf(y, ch))
+    return np.where(upper, -1.0, 1.0) * (tail - np.where(upper, 1.0 - p, p))
+
+
+class TestQuantileSolver:
+    @given(_probabilities(-300.0, -16.0), _CHANNELS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_elementwise_independent(self, p, ch, data):
+        # Points leave the active set at different iterations, so each must
+        # come out as if solved alone, whatever else shares the call.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantileWarning)
+            whole = output_quantile(p, ch)
+            alone = np.concatenate([output_quantile(p[k : k + 1], ch) for k in range(p.size)])
+            perm = np.array(data.draw(st.permutations(range(p.size))))
+            permuted = output_quantile(p[perm], ch)
+        assert np.array_equal(whole.view(np.uint64), alone.view(np.uint64))
+        assert np.array_equal(permuted.view(np.uint64), whole[perm].view(np.uint64))
+
+    @given(_probabilities(-30.0, -12.0), _CHANNELS)
+    @settings(max_examples=60, deadline=None)
+    def test_contract(self, p, ch):
+        # |F - p| <= 2 * QUANTILE_TOL * min(p, 1 - p), or the root lies
+        # within a machine-width bracket around y.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuantileWarning)
+            y = output_quantile(p, ch)
+        target = np.minimum(p, 1.0 - p)
+        met = np.abs(_tail_residual(y, p, ch)) <= 2.0 * QUANTILE_TOL * target
+        d = 8.0 * np.spacing(np.abs(y))
+        bracketed = (_tail_residual(y - d, p, ch) <= 0) & (_tail_residual(y + d, p, ch) >= 0)
+        assert np.all(met | bracketed), p[~(met | bracketed)]
+
+    def test_empty_input(self, ch4_0db, monkeypatch):
+        # Nothing to solve: neither the bracket nor the Newton loop runs.
+        def no_cdf(z, ch):
+            raise AssertionError("empty input evaluated the mixture CDF")
+
+        monkeypatch.setattr(channel, "_cdf", no_cdf)
+        for shape in [(0,), (0, 3)]:
+            assert output_quantile(np.empty(shape), ch4_0db).shape == shape
+
+    def test_warns_at_iteration_cap(self, pam4):
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        message = r"1 of 2 points unsolved after 200 .*min\(p, 1 - p\) = "
+        with pytest.warns(QuantileWarning, match=message):
+            y = output_quantile(np.array([1e-100, 0.3]), ch)
+        assert output_cdf(y[1], ch) == pytest.approx(0.3, rel=1e-11)
+        assert softrec.QuantileWarning is QuantileWarning
+        assert issubclass(QuantileWarning, RuntimeWarning)
+
+    def test_frame_solve_does_not_warn(self, pam4):
+        # One 32,400-symbol frame at 3.5 dB: lappr_batch solves 129,600 points.
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        t = build_transform(ch, "alternating")
+        x = np.random.default_rng(11).integers(0, 4, size=32400)
+        n, _ = soften(transmit(x, ch, np.random.default_rng(12)), t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(lappr_batch(n, x, t)).all()
+
+    # Standing fault, recorded in CHANGES.md: deep in the lower tail Newton
+    # approaches the root from above, moving about sigma/|z| per step, and
+    # never leaves the bracket, so bisection never starts and the iteration
+    # cap stops it far from the root. Fixing it changes the last bits of
+    # every pinned quantile (ROADMAP item 1(b)).
+    @pytest.mark.xfail(strict=True, reason="lower-tail Newton creep hits the iteration cap")
+    @pytest.mark.parametrize(
+        "priors, var, p",
+        [
+            (None, VAR_3_5_DB, 1e-100),
+            (None, VAR_3_5_DB, 1e-200),
+            (None, 2.5, 1e-200),
+            (SKEWED, 1e-4, 1e-200),
+        ],
+    )
+    def test_far_lower_tail_contract(self, priors, var, p):
+        ch = ChannelModel(pam(4, priors=priors), var)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantileWarning)
+            y = output_quantile(p, ch)
+        assert abs(output_cdf(y, ch) - p) <= 2.0 * QUANTILE_TOL * p

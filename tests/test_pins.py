@@ -8,18 +8,22 @@ the exact bytes): a refactor that reorders one floating-point operation
 shows up here. Only names that exist on both sides of that
 refactor are used, so the file runs unchanged on either; the hard-decision
 table is reached through the hard scheme's per-frame step for that reason.
+The one later name is ``QuantileWarning``, which the active-set solve added
+to mark the pinned points that stop at the iteration cap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 from softrec.channel import (
     ChannelModel,
+    QuantileWarning,
     log_output_density,
     output_cdf,
     output_density,
@@ -57,7 +61,9 @@ class TestChannelPins:
     Y = [-60.0, -7.5, -3.0, -0.4, 0.0, 1.3, 4.2, 60.0]
 
     def test_quantile(self, ch4_0db):
-        assert output_quantile(np.array(self.P), ch4_0db).tolist() == self.Q
+        # 1e-200 stops at the iteration cap (the far-lower-tail fault).
+        with pytest.warns(QuantileWarning):
+            assert output_quantile(np.array(self.P), ch4_0db).tolist() == self.Q
         q = output_quantile(0.37, ch4_0db)
         assert type(q) is float and q == self.Q[5]
 
@@ -275,4 +281,6 @@ class TestSolverPins:
     @pytest.mark.parametrize("var", [1e-4, 250.0])
     def test_skewed_prior_quantile(self, var):
         ch = ChannelModel(pam(4, priors=[0.97, 0.01, 0.01, 0.01]), var)
-        assert output_quantile(np.array(self.P), ch).tolist() == self.SKEWED_Q[var]
+        # At 1e-4, 1e-200 stops at the iteration cap (the far-lower-tail fault).
+        with pytest.warns(QuantileWarning) if var == 1e-4 else nullcontext():
+            assert output_quantile(np.array(self.P), ch).tolist() == self.SKEWED_Q[var]

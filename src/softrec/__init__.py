@@ -31,21 +31,16 @@ from softrec.softening import (
     SofteningTransform,
     build_transform,
     enumerate_configs,
+    inverse_and_jacobian,
     soften,
-    transform_jacobian,
-    unsoften,
 )
 from softrec.metrics import (
     LAPPR_CLAMP,
-    joint_conditional_density,
-    lappr,
     lappr_batch,
-    posterior_decisions,
 )
 from softrec.infotheory import (
     MiResult,
     leakage,
-    mi_bound_check,
     mi_direct,
     mi_hard,
     mi_rrs,
@@ -58,7 +53,6 @@ from softrec.ldpc import (
     load_code,
     parse_alist,
     syndrome,
-    tanner_check,
     to_alist,
 )
 from softrec.harness import (
@@ -91,17 +85,12 @@ __all__ = [
     "SofteningTransform",
     "build_transform",
     "enumerate_configs",
+    "inverse_and_jacobian",
     "soften",
-    "transform_jacobian",
-    "unsoften",
     "LAPPR_CLAMP",
-    "joint_conditional_density",
-    "lappr",
     "lappr_batch",
-    "posterior_decisions",
     "MiResult",
     "leakage",
-    "mi_bound_check",
     "mi_direct",
     "mi_hard",
     "mi_rrs",
@@ -112,7 +101,6 @@ __all__ = [
     "load_code",
     "parse_alist",
     "syndrome",
-    "tanner_check",
     "to_alist",
     "ExperimentSpec",
     "ber_sweep",

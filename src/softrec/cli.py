@@ -68,6 +68,9 @@ KS_LEVEL = 0.01
 MC_BINS = 20
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
 # ---------------------------------------------------------------------------
 # Options: one row per key, (help, argparse type, default). The flag is
 # "--" + key with "_" as "-", and the key is also the config-file key.
@@ -82,7 +85,7 @@ _OPTIONS = {
         None,
     ),
     "seed": ("master seed", int, 0),
-    "log_level": ("debug/info/warning", str, "info"),
+    "log_level": ("/".join(_LOG_LEVELS), str, "info"),
     "schemes": ("comma list from direct,hard,rrs", str, "direct,hard,rrs"),
     "configs": ("comma list of base/alternating/sign strings, or 'all'", str, "base,alternating"),
     "config": ("one config: base/alternating/sign string", str, "base"),
@@ -215,8 +218,13 @@ def _echo_config(command: str, resolved: dict, out: Path) -> Path:
 
 
 def _setup_logging(resolved: dict) -> None:
-    level = getattr(logging, str(resolved["log_level"]).upper(), logging.INFO)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    name = str(resolved["log_level"]).lower()
+    if name not in _LOG_LEVELS:
+        raise ValueError(
+            f"log_level: unknown level {resolved['log_level']!r}; "
+            f"expected one of {', '.join(_LOG_LEVELS)}"
+        )
+    logging.basicConfig(level=name.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +326,11 @@ def _cmd_audit(resolved: dict) -> int:
     samples = resolved["samples_per_decision"]
     if samples < 1:
         raise ValueError("samples_per_decision must be >= 1")
+    seed = resolved["seed"]
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     out = _out_dir(resolved)
     log_path = _echo_config("audit", resolved, out)
-    seed = resolved["seed"]
     failures = []
     for cell, (snr, cfg) in enumerate(
         (s, cf) for s in grid for cf in configs

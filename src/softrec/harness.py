@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -161,6 +162,9 @@ class ExperimentSpec:
             raise ValueError("workers must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
         load_code(self.code)
 
 

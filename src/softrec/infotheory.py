@@ -39,7 +39,6 @@ __all__ = [
     "mi_hard",
     "mi_rrs",
     "leakage",
-    "mi_bound_check",
 ]
 
 # Adaptive-quadrature controls shared by every evaluator.
@@ -216,12 +215,3 @@ def leakage(t: SofteningTransform) -> float:
     res, _err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
     return float(np.sum(t.deltas * res))
 
-
-def mi_bound_check(ch: ChannelModel, t: SofteningTransform) -> bool:
-    """True iff I(Xhat;X,N) <= I(X;Y) + 1e-6 for this channel/transform pair."""
-    if t.channel is not ch and (
-        t.channel.noise_variance != ch.noise_variance
-        or not np.array_equal(t.channel.constellation.points, ch.constellation.points)
-    ):
-        raise ValueError("transform was built for a different channel")
-    return mi_rrs(t) <= mi_direct(ch) + 1e-6

@@ -40,7 +40,6 @@ __all__ = [
     "build_staircase_code",
     "syndrome",
     "decode",
-    "tanner_check",
     "PRESETS",
 ]
 
@@ -198,21 +197,6 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
             return DecodeOutcome(bits=bits, converged=True, iterations_used=it)
 
     return DecodeOutcome(bits=bits, converged=False, iterations_used=max_iters)
-
-
-def tanner_check(code: LdpcCode) -> dict:
-    """Degree statistics of the Tanner graph, for profile sanity checks."""
-    row_deg = np.diff(code.chk_ptr)
-    col_deg = np.diff(code.var_ptr)
-    row_hist = {int(d): int(c) for d, c in zip(*np.unique(row_deg, return_counts=True))}
-    col_hist = {int(d): int(c) for d, c in zip(*np.unique(col_deg, return_counts=True))}
-    return {
-        "n": code.n,
-        "m": code.m,
-        "edges": code.edge_count,
-        "row_degree_histogram": row_hist,
-        "col_degree_histogram": col_hist,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,8 @@ hypothesis is
 
     f(n, i | j) = f_{Y|X}(g_i^{-1}(n) | a_j) / |g_i'(g_i^{-1}(n))|
 
-and everything downstream (decision posteriors, per-bit LAPPRs) is built
-from these M numbers. All combination happens in log-domain; the raw
-Gaussian ratios underflow at high SNR.
+and the per-bit LAPPRs are built from these M numbers. All combination
+happens in log-domain; the raw Gaussian ratios underflow at high SNR.
 """
 
 from __future__ import annotations
@@ -24,11 +23,8 @@ from softrec.softening import SofteningTransform, inverse_and_jacobian
 __all__ = [
     "LAPPR_CLAMP",
     "bit_lapprs",
-    "joint_conditional_density",
     "joint_density_ratio_form",
     "log_joint_conditional_density",
-    "posterior_decisions",
-    "lappr",
     "lappr_batch",
 ]
 
@@ -50,35 +46,15 @@ def _log_joint_from_y(y, i, j, t: SofteningTransform):
 
 
 def log_joint_conditional_density(n, i, j, t: SofteningTransform):
-    """log of the joint conditional density; broadcasts over n, i, j."""
+    """log f(n, i | j), the joint density of (metric, decision) given the
+    sent symbol.
+
+    Broadcasts over ``n`` (disclosed metric in [0, 1], clamped inward by
+    N_EPS), ``i`` (hypothesised decision) and ``j`` (sent symbol index).
+    For fixed j its exp integrates to 1 over (n, i).
+    """
     y, _ = inverse_and_jacobian(n, i, t)
     return _log_joint_from_y(y, i, j, t)
-
-
-def joint_conditional_density(n, i, j, t: SofteningTransform):
-    """Joint conditional density of (metric, decision) given the sent symbol.
-
-    Parameters
-    ----------
-    n : float or array
-        Disclosed metric in (0, 1); endpoint values are clamped inward by
-        N_EPS.
-    i : int or array
-        Hypothesized receiver decision (region index).
-    j : int or array
-        Transmitted symbol index.
-    t : SofteningTransform
-
-    Returns
-    -------
-    float or ndarray
-        Non-negative density value(s); for fixed j they integrate to 1 over
-        (n, i).
-    """
-    out = np.exp(log_joint_conditional_density(n, i, j, t))
-    if np.isscalar(n) and np.isscalar(i) and np.isscalar(j):
-        return float(np.asarray(out).reshape(()))
-    return out
 
 
 def joint_density_ratio_form(n, i, j, t: SofteningTransform):
@@ -105,20 +81,6 @@ def joint_density_ratio_form(n, i, j, t: SofteningTransform):
     if np.isscalar(n) and np.isscalar(i) and np.isscalar(j):
         return float(np.asarray(out).reshape(()))
     return out
-
-
-def posterior_decisions(n, j, t: SofteningTransform):
-    """Posterior over the receiver's decision given (sent symbol, metric).
-
-    Returns a length-M probability vector (or (..., M) array) summing to 1;
-    computed by a log-domain softmax so high-SNR ratios cannot underflow to
-    an all-zero numerator.
-    """
-    logf = log_joint_conditional_density(
-        np.asarray(n, dtype=float)[..., None], np.arange(t.order), np.asarray(j)[..., None], t
-    )
-    logz = logsumexp(logf, axis=-1, keepdims=True)
-    return np.exp(logf - logz)
 
 
 def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
@@ -151,15 +113,15 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     return out
 
 
-def lappr(n: float, j: int, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
-    """Per-bit LAPPRs for one symbol slot.
+def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
+    """Vectorized LAPPRs for many symbol slots.
 
     Parameters
     ----------
-    n : float
-        Disclosed metric, in (0, 1).
-    j : int
-        The sender's own symbol index.
+    n : array, shape (S,)
+        Disclosed metrics, in [0, 1].
+    j : int array, shape (S,)
+        The sender's own symbol indices.
     t : SofteningTransform
     alpha : float
         Multiplicative scaling applied before clamping; 1.0 leaves the
@@ -168,27 +130,9 @@ def lappr(n: float, j: int, t: SofteningTransform, alpha: float = 1.0) -> np.nda
 
     Returns
     -------
-    ndarray, shape (L,)
-        [l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f)),
-        with the bit labeling of the channel's constellation.
-    """
-    return lappr_batch(np.asarray([n]), np.asarray([j]), t, alpha=alpha)[0]
-
-
-def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
-    """Vectorized LAPPRs for many symbol slots.
-
-    Parameters
-    ----------
-    n : array, shape (S,)
-    j : int array, shape (S,)
-    t : SofteningTransform
-    alpha : float
-
-    Returns
-    -------
     ndarray, shape (S, L)
-        Bit-position-major LAPPRs per slot, clamped to +-LAPPR_CLAMP.
+        [s, l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f))
+        with f = f(n[s], i | j[s]) and the constellation's bit labeling.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")

@@ -16,7 +16,6 @@ per region is a free design choice; both pieces share the Jacobian
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,12 +26,10 @@ from softrec.constellation import DecisionRegions, decide, map_decision_regions
 __all__ = [
     "MonotonicityConfig",
     "SofteningTransform",
-    "TailSaturationWarning",
     "build_transform",
     "enumerate_configs",
+    "inverse_and_jacobian",
     "soften",
-    "unsoften",
-    "transform_jacobian",
     "N_EPS",
 ]
 
@@ -41,10 +38,6 @@ __all__ = [
 N_EPS = 1e-12
 
 _EDGE_SUM_TOL = 1e-10
-
-
-class TailSaturationWarning(RuntimeWarning):
-    """Inverse/Jacobian requested at the exact endpoint of an unbounded region."""
 
 
 @dataclass(frozen=True)
@@ -206,8 +199,17 @@ def soften(y, t: SofteningTransform):
     return n, d
 
 
-def _clamped_p(n, i, t: SofteningTransform):
-    """Probability-space target of the piecewise inverse, endpoint-clamped."""
+def inverse_and_jacobian(n, i, t: SofteningTransform):
+    """Invert the i-th transform piece: (g_i^{-1}(n), |g_i'| at that point).
+
+    The one inverse of the piecewise transform, from one quantile solve;
+    broadcasts over ``n`` and ``i``. The Jacobian is f_Y(y) / dF_i for
+    increasing and decreasing pieces alike. ``n`` is clamped to
+    [N_EPS, 1 - N_EPS] first, so an endpoint of an unbounded edge region,
+    which would map to +-inf, saturates to the far tail instead. ``n``
+    outside [0, 1] or NaN, and a region index out of range, raise
+    ValueError.
+    """
     narr = np.asarray(n, dtype=float)
     iarr = np.asarray(i)
     if narr.size and (np.nanmin(narr) < 0.0 or np.nanmax(narr) > 1.0):
@@ -222,63 +224,5 @@ def _clamped_p(n, i, t: SofteningTransform):
     hi = t.cdf_edges[iarr + 1]
     p = np.where(signs > 0, lo + nc * t.deltas[iarr], hi - nc * t.deltas[iarr])
     # Guard the open-interval requirement of the quantile against rounding.
-    tiny = 1e-300
-    return np.clip(p, tiny, 1.0 - 1e-16)
-
-
-def inverse_and_jacobian(n, i, t: SofteningTransform):
-    """Fused (g_i^{-1}(n), |g_i'| at that point); one quantile solve.
-
-    The one inverse of the piecewise transform: ``n`` is clamped to
-    [N_EPS, 1 - N_EPS] silently, so this is the hot-path form for metric
-    construction; ``unsoften`` and ``transform_jacobian`` add the endpoint
-    warning and scalar results on top.
-    """
-    p = _clamped_p(n, i, t)
-    y = output_quantile(p, t.channel)
-    jac = output_density(y, t.channel) / t.deltas[np.asarray(i)]
-    return y, jac
-
-
-def _checked_inverse(n, i, t: SofteningTransform):
-    """``inverse_and_jacobian`` that warns on endpoint saturation and returns
-    floats for scalar ``n`` and ``i``."""
-    y, jac = inverse_and_jacobian(n, i, t)
-    narr = np.asarray(n, dtype=float)
-    iarr = np.asarray(i)
-    # n at the exact endpoint of an unbounded region maps to +-inf; the
-    # clamp saturates it to the far tail instead.
-    s_first = t.config.signs[0]
-    s_last = t.config.signs[t.order - 1]
-    hits = (iarr == 0) & (narr == (0.0 if s_first > 0 else 1.0))
-    hits |= (iarr == t.order - 1) & (narr == (1.0 if s_last > 0 else 0.0))
-    if np.any(hits):
-        warnings.warn(
-            "inverse transform evaluated at the endpoint of an unbounded region; "
-            "result saturates to the far tail",
-            TailSaturationWarning,
-            stacklevel=3,
-        )
-    if narr.ndim == 0 and iarr.ndim == 0:
-        return float(np.asarray(y).reshape(())), float(np.asarray(jac).reshape(()))
-    return y, jac
-
-
-def unsoften(n, i, t: SofteningTransform):
-    """Invert the i-th transform piece: the y in region i with g_i(y) = n.
-
-    ``n`` values of exactly 0 or 1 on an unbounded edge region would map to
-    +-inf; they are clamped to [N_EPS, 1 - N_EPS] first and a
-    TailSaturationWarning is emitted.
-    """
-    return _checked_inverse(n, i, t)[0]
-
-
-def transform_jacobian(n, i, t: SofteningTransform):
-    """|g_i'| evaluated at g_i^{-1}(n): f_Y(g_i^{-1}(n)) / dF_i.
-
-    Identical for increasing and decreasing pieces. Strictly positive for
-    n inside (0, 1); saturates (with a warning) at the endpoints of
-    unbounded regions where the density vanishes.
-    """
-    return _checked_inverse(n, i, t)[1]
+    y = output_quantile(np.clip(p, 1e-300, 1.0 - 1e-16), t.channel)
+    return y, output_density(y, t.channel) / t.deltas[iarr]

@@ -79,6 +79,21 @@ class TestArgumentHandling:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["mi-sweep", "ber-sweep", "audit", "reconcile"])
+    def test_negative_seed_rejected_before_echo(self, tmp_path, capsys, command):
+        rc = run([command, "--snr", "6", "--seed", "-1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize("level, ok", [("WARNING", True), ("Error", True), ("warnig", False)])
+    def test_log_level_names(self, tmp_path, capsys, level, ok):
+        argv = ["mi-sweep", "--snr", "0", "--schemes", "hard", "--log-level", level]
+        assert run(argv + ["--out", str(tmp_path)]) == (0 if ok else 2)
+        if not ok:
+            assert "log_level" in capsys.readouterr().err
+            assert not (tmp_path / "run_log.jsonl").exists()
+
     def test_unknown_constellation(self, tmp_path):
         assert run(["mi-sweep", "--snr", "0", "--constellation", "qam64", "--out", str(tmp_path)]) == 2
 

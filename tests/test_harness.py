@@ -87,6 +87,14 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(workers=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            tiny_spec(master_seed=seed)
+
+    def test_accepts_numpy_seed(self):
+        assert tiny_spec(master_seed=np.uint32(7)).master_seed == 7
+
     def test_config_strings_normalized(self):
         spec = tiny_spec(configs=("+-+-",))
         assert spec.configs[0].signs == (1, -1, 1, -1)

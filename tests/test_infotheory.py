@@ -11,7 +11,6 @@ from softrec.constellation import map_decision_regions, pam
 from softrec.infotheory import (
     MiResult,
     leakage,
-    mi_bound_check,
     mi_direct,
     mi_hard,
     mi_rrs,
@@ -141,12 +140,6 @@ class TestLeakage:
         edges = t_base.cdf_edges + np.array([0.0, 0.05, -0.05, 0.05, 0.0])
         bad = dataclasses.replace(t_base, cdf_edges=edges)
         assert abs(leakage(bad)) <= 1e-9
-
-
-class TestBoundCheck:
-    def test_holds_for_both_named_configs(self, ch4_0db, t_base, t_alt):
-        assert mi_bound_check(ch4_0db, t_base)
-        assert mi_bound_check(ch4_0db, t_alt)
 
 
 class TestMiResult:

@@ -16,19 +16,16 @@ from softrec.ldpc import (
     load_code,
     parse_alist,
     syndrome,
-    tanner_check,
     to_alist,
 )
 
-# (7,4) fixture: check c is adjacent to the 1-indexed columns whose binary
-# representation has bit c set; the classic single-error-correcting layout.
-HAMMING_TANNER = {
-    "n": 7,
-    "m": 3,
-    "edges": 12,
-    "row_degree_histogram": {4: 3},
-    "col_degree_histogram": {1: 3, 2: 3, 3: 1},
-}
+
+def degree_histograms(code: LdpcCode) -> tuple[dict, dict]:
+    """{degree: count} over the checks and over the variables."""
+    return tuple(
+        dict(zip(*(v.tolist() for v in np.unique(np.diff(ptr), return_counts=True))))
+        for ptr in (code.chk_ptr, code.var_ptr)
+    )
 
 
 def dense_h(code: LdpcCode) -> np.ndarray:
@@ -49,7 +46,12 @@ def coset_ml(code: LdpcCode, lam: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 class TestHamming74:
     def test_tanner_profile(self):
-        assert tanner_check(hamming74()) == HAMMING_TANNER
+        # check c is adjacent to the 1-indexed columns whose binary
+        # representation has bit c set; the classic single-error-correcting
+        # layout
+        code = hamming74()
+        assert (code.n, code.m, code.edge_count) == (7, 3, 12)
+        assert degree_histograms(code) == ({4: 3}, {1: 3, 2: 3, 3: 1})
 
     def test_adjacency_is_binary_index(self):
         h = dense_h(hamming74())
@@ -278,12 +280,12 @@ class TestStaircase:
 
 class TestDvbs2Profile:
     def test_tanner_profile(self):
-        prof = tanner_check(dvbs2_r12())
-        assert prof["n"] == 64800
-        assert prof["m"] == 32400
-        assert prof["edges"] == 226799
-        assert prof["row_degree_histogram"] == {7: 32399, 6: 1}
-        assert prof["col_degree_histogram"] == {8: 12960, 3: 19440, 2: 32399, 1: 1}
+        code = dvbs2_r12()
+        assert (code.n, code.m, code.edge_count) == (64800, 32400, 226799)
+        assert degree_histograms(code) == (
+            {7: 32399, 6: 1},
+            {8: 12960, 3: 19440, 2: 32399, 1: 1},
+        )
 
     def test_generator_is_deterministic(self):
         # two independent builds, not one cached object

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
-from softrec.channel import ChannelModel, output_cdf, transmit
+from softrec.channel import ChannelModel, output_cdf, output_density, transmit
 from softrec.constellation import decide, pam
 from softrec.softening import (
+    N_EPS,
     MonotonicityConfig,
-    TailSaturationWarning,
     build_transform,
     enumerate_configs,
     inverse_and_jacobian,
     soften,
-    transform_jacobian,
-    unsoften,
 )
+
+CONFIGS4 = list(enumerate_configs(4))
 
 
 class TestMonotonicityConfig:
@@ -89,7 +89,7 @@ class TestRoundtrip:
         t = build_transform(ch4_0db, cfg)
         y = rng.uniform(-9, 9, size=400)
         n, i = soften(y, t)
-        back = unsoften(n, i, t)
+        back, _ = inverse_and_jacobian(n, i, t)
         np.testing.assert_allclose(back, y, atol=1e-8)
 
     def test_decision_channel_consistency(self, ch4_0db, t_base, rng):
@@ -101,25 +101,30 @@ class TestRoundtrip:
     def test_scalar_path(self, t_base):
         n, i = soften(0.5, t_base)
         assert 0.0 <= float(n) <= 1.0
-        y = unsoften(float(n), int(i), t_base)
+        y, _ = inverse_and_jacobian(float(n), int(i), t_base)
         assert y == pytest.approx(0.5, abs=1e-9)
 
     @given(
-        st.floats(min_value=0.001, max_value=0.999, allow_nan=False),
+        st.sampled_from(CONFIGS4),
+        st.floats(min_value=np.log(1e-4), max_value=np.log(250.0)),
         st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.001, max_value=0.999, allow_nan=False),
     )
     @settings(max_examples=60, deadline=None)
-    def test_forward_roundtrip_property(self, n, i):
-        # soften(unsoften(n, i)) == (n, i); well conditioned for any n away
-        # from the clamp, unlike the y-space roundtrip in the far tails
-        c = pam(4)
-        t = build_transform(ChannelModel(c, 2.5), "alternating")
-        y = unsoften(np.array([n]), np.array([i]), t)
+    def test_forward_roundtrip_property(self, cfg, log_var, i, n):
+        # soften(inverse(n, i)) == (n, i) for every config and noise level,
+        # well conditioned for any n away from the clamp, unlike the
+        # y-space roundtrip in the far tails; on a grid of sorted n the
+        # inverse runs with the piece's sign
+        t = build_transform(ChannelModel(pam(4), float(np.exp(log_var))), cfg)
+        grid = np.linspace(0.001, 0.999, 200)
+        ns = np.append(grid, n)
+        y, _ = inverse_and_jacobian(ns, np.full(ns.size, i), t)
         n2, i2 = soften(y, t)
-        assert int(i2[0]) == i
-        assert abs(float(n2[0]) - n) < 1e-9
-
-
+        np.testing.assert_array_equal(i2, i)
+        np.testing.assert_allclose(n2, ns, rtol=0, atol=1e-9)
+        steps = cfg.signs[i] * np.diff(y[: grid.size])
+        assert np.all(steps > 0)
 class TestUniformity:
     @pytest.mark.parametrize("cfg", ["base", "alternating"])
     def test_n_uniform_conditioned_on_decision(self, ch4_0db, cfg):
@@ -155,42 +160,40 @@ class TestUniformity:
 class TestJacobian:
     @pytest.mark.parametrize("cfg", ["base", "alternating"])
     def test_matches_finite_difference(self, ch4_0db, cfg):
-        # |g_i'(y)| is the reciprocal of d unsoften / dn
+        # |g_i'(y)| is the reciprocal of d g_i^{-1} / dn
         t = build_transform(ch4_0db, cfg)
         n = np.array([0.15, 0.4, 0.65, 0.9])
         for i in range(4):
             ii = np.full(4, i)
-            jac = transform_jacobian(n, ii, t)
+            _, jac = inverse_and_jacobian(n, ii, t)
             h = 1e-7
-            dy_dn = (unsoften(n + h, ii, t) - unsoften(n - h, ii, t)) / (2 * h)
-            np.testing.assert_allclose(jac, 1.0 / np.abs(dy_dn), rtol=1e-4)
+            up, _ = inverse_and_jacobian(n + h, ii, t)
+            down, _ = inverse_and_jacobian(n - h, ii, t)
+            np.testing.assert_allclose(jac, 1.0 / np.abs((up - down) / (2 * h)), rtol=1e-4)
             assert np.all(jac > 0)
 
-    def test_inverse_and_jacobian_agrees(self, t_alt):
+    def test_inverse_and_jacobian_agrees(self, ch4_0db, t_alt):
+        # the inverse lands in region i, and both pieces share the Jacobian
+        # f_Y(y) / dF_i, whatever their sign
         n = np.array([0.2, 0.8])
-        i = np.array([0, 2])
+        i = np.array([0, 1])
         y, jac = inverse_and_jacobian(n, i, t_alt)
-        np.testing.assert_allclose(y, unsoften(n, i, t_alt), rtol=1e-12)
-        np.testing.assert_allclose(jac, transform_jacobian(n, i, t_alt), rtol=1e-12)
+        np.testing.assert_array_equal(decide(y, t_alt.regions), i)
+        np.testing.assert_allclose(jac, output_density(y, ch4_0db) / t_alt.deltas[i], rtol=1e-12)
 
 
 class TestTailSaturation:
-    def test_endpoint_of_unbounded_region_warns(self, t_base):
-        with pytest.warns(TailSaturationWarning):
-            y = unsoften(0.0, 0, t_base)
-        assert np.isfinite(y)
-
-    def test_interior_endpoint_does_not_warn(self, t_base):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            unsoften(0.5, 1, t_base)
+    def test_endpoint_of_unbounded_region_saturates(self, t_base):
+        # n = 0 on the lowest region would map to -inf; the clamp holds it
+        # at n = N_EPS instead
+        y, jac = inverse_and_jacobian(0.0, 0, t_base)
+        assert np.isfinite(y) and jac > 0
+        assert y == inverse_and_jacobian(N_EPS, 0, t_base)[0]
 
     def test_rejects_out_of_range_inputs(self, t_base):
         with pytest.raises(ValueError):
-            unsoften(1.5, 0, t_base)
+            inverse_and_jacobian(1.5, 0, t_base)
         with pytest.raises(ValueError):
-            unsoften(0.5, 4, t_base)
+            inverse_and_jacobian(0.5, 4, t_base)
         with pytest.raises(ValueError):
             soften(np.nan, t_base)

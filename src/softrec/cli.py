@@ -16,7 +16,8 @@ audit
     only; the Monte-Carlo and KS checks are the ones that catch a broken
     transform.
 reconcile
-    Single-frame protocol demo; prints the public transcript as JSON.
+    Single-frame protocol demo at one SNR and one config; prints the public
+    transcript as JSON.
 codegen
     Emit a built-in parity-check matrix in alist form.
 
@@ -187,14 +188,14 @@ def _parse_constellation(text: str):
     return pam(order)
 
 
-def _parse_configs(text, order: int) -> tuple:
+def _parse_configs(text, c) -> tuple:
     s = str(text).strip()
     if s.lower() == "all":
-        return tuple(enumerate_configs(order))
+        return tuple(enumerate_configs(c.order))
     items = [p.strip() for p in s.split(",") if p.strip()]
     if not items:
         raise ValueError("empty config list")
-    return tuple(MonotonicityConfig.from_string(p, order) for p in items)
+    return tuple(MonotonicityConfig.from_string(p, c.order) for p in items)
 
 
 def _parse_schemes(text) -> tuple:
@@ -202,6 +203,34 @@ def _parse_schemes(text) -> tuple:
     alias = {"hard-rr": "hard", "rr": "hard", "dr": "direct"}
     items = [alias.get(p.strip().lower(), p.strip().lower()) for p in str(text).split(",") if p.strip()]
     return tuple(dict.fromkeys(items))
+
+
+# Option key -> (ExperimentSpec field, parser of the resolved value and the
+# constellation); no parser passes the value on as typed. A subcommand's spec
+# gets the field of every option it has, and the spec validates the values.
+_SPEC_FIELDS = {
+    "snr": ("snr_grid_db", lambda v, c: _parse_snr(v)),
+    "schemes": ("schemes", lambda v, c: _parse_schemes(v)),
+    "configs": ("configs", _parse_configs),
+    "config": ("configs", _parse_configs),
+    "code": ("code", lambda v, c: str(v)),
+    "alpha": ("alpha", None),
+    "frames": ("frames_per_point", None),
+    "seed": ("master_seed", None),
+    "workers": ("workers", None),
+    "max_iters": ("max_iters", None),
+}
+
+
+def _spec(resolved: dict) -> ExperimentSpec:
+    """The subcommand's experiment, built and validated from its options."""
+    c = _parse_constellation(resolved["constellation"])
+    fields = {
+        name: parse(resolved[key], c) if parse else resolved[key]
+        for key, (name, parse) in _SPEC_FIELDS.items()
+        if key in resolved
+    }
+    return ExperimentSpec(constellation=c, **fields)
 
 
 def _out_dir(resolved: dict) -> Path:
@@ -232,14 +261,7 @@ def _setup_logging(resolved: dict) -> None:
 
 
 def _cmd_mi_sweep(resolved: dict) -> int:
-    c = _parse_constellation(resolved["constellation"])
-    spec = ExperimentSpec(
-        constellation=c,
-        snr_grid_db=_parse_snr(resolved["snr"]),
-        schemes=_parse_schemes(resolved["schemes"]),
-        configs=_parse_configs(resolved["configs"], c.order),
-        master_seed=resolved["seed"],
-    )
+    spec = _spec(resolved)
     targets = tuple(float(t) for t in str(resolved["mi_targets"]).split(",") if t.strip())
     out = _out_dir(resolved)
     _echo_config("mi-sweep", resolved, out)
@@ -249,19 +271,7 @@ def _cmd_mi_sweep(resolved: dict) -> int:
 
 
 def _cmd_ber_sweep(resolved: dict) -> int:
-    c = _parse_constellation(resolved["constellation"])
-    spec = ExperimentSpec(
-        constellation=c,
-        snr_grid_db=_parse_snr(resolved["snr"]),
-        schemes=_parse_schemes(resolved["schemes"]),
-        configs=_parse_configs(resolved["configs"], c.order),
-        code=str(resolved["code"]),
-        alpha=resolved["alpha"],
-        frames_per_point=resolved["frames"],
-        master_seed=resolved["seed"],
-        workers=resolved["workers"],
-        max_iters=resolved["max_iters"],
-    )
+    spec = _spec(resolved)
     out = _out_dir(resolved)
     log_path = _echo_config("ber-sweep", resolved, out)
     log.info(
@@ -320,24 +330,20 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
 
 
 def _cmd_audit(resolved: dict) -> int:
-    c = _parse_constellation(resolved["constellation"])
-    grid = _parse_snr(resolved["snr"])
-    configs = _parse_configs(resolved["configs"], c.order)
+    spec = _spec(resolved)
+    c = spec.constellation
     samples = resolved["samples_per_decision"]
     if samples < 1:
         raise ValueError("samples_per_decision must be >= 1")
-    seed = resolved["seed"]
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     out = _out_dir(resolved)
     log_path = _echo_config("audit", resolved, out)
     failures = []
     for cell, (snr, cfg) in enumerate(
-        (s, cf) for s in grid for cf in configs
+        (s, cf) for s in spec.snr_grid_db for cf in spec.configs
     ):
         ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
         transform = build_transform(ch, cfg)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(cell,)))
+        rng = np.random.default_rng(np.random.SeedSequence(spec.master_seed, spawn_key=(cell,)))
         analytic, mc, ks_min = _audit_cell(ch, transform, rng, samples)
         ok = (
             abs(analytic) <= ANALYTIC_LEAKAGE_MAX
@@ -369,24 +375,16 @@ def _cmd_audit(resolved: dict) -> int:
 
 
 def _cmd_reconcile(resolved: dict) -> int:
-    c = _parse_constellation(resolved["constellation"])
-    snr = _parse_snr(resolved["snr"])
-    cfg = _parse_configs(resolved["config"], c.order)[0]
-    spec = ExperimentSpec(
-        constellation=c,
-        snr_grid_db=snr,
-        configs=(cfg,),
-        code=str(resolved["code"]),
-        alpha=resolved["alpha"],
-        master_seed=resolved["seed"],
-        max_iters=resolved["max_iters"],
-    )
+    spec = _spec(resolved)
+    for key, values in (("snr", spec.snr_grid_db), ("config", spec.configs)):
+        if len(values) != 1:
+            raise ValueError(f"reconcile takes one --{key} value, got {len(values)}")
     out = _out_dir(resolved)
     _echo_config("reconcile", resolved, out)
-    result = run_protocol(spec, spec.master_seed)
+    result = run_protocol(spec)
     res = {
-        "snr_db": snr[0],
-        "config": cfg.name,
+        "snr_db": spec.snr_grid_db[0],
+        "config": spec.configs[0].name,
         "transcript": {
             "n_values": [float(v) for v in result.transcript.n_values],
             "syndrome": [int(b) for b in result.transcript.syndrome],

@@ -32,7 +32,7 @@ import csv
 import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from scipy.interpolate import PchipInterpolator
 from .channel import ChannelModel, transmit
 from .constellation import (
     Constellation,
-    DecisionRegions,
     bit_partitions,
     decide,
     demap,
@@ -226,13 +225,13 @@ def direct_bit_llrs(y, ch: ChannelModel) -> np.ndarray:
     return bit_lapprs(logw, c)
 
 
-def hard_rr_lapprs(ch: ChannelModel, regions: DecisionRegions) -> np.ndarray:
+def hard_rr_lapprs(ch: ChannelModel) -> np.ndarray:
     """Soft inputs available to the sender under hard reverse reconciliation.
 
     Without any disclosed metric the sender only knows the discrete channel
-    P(decision | sent = a_x), so every frame slot carrying symbol x gets the
-    same per-bit LLR log(P(bit=0|x)/P(bit=1|x)). Magnitudes saturate at the
-    clamp as the channel becomes noiseless.
+    P(decision | sent = a_x) over the MAP regions, so every frame slot
+    carrying symbol x gets the same per-bit LLR log(P(bit=0|x)/P(bit=1|x)).
+    Magnitudes saturate at the clamp as the channel becomes noiseless.
 
     Returns
     -------
@@ -240,7 +239,7 @@ def hard_rr_lapprs(ch: ChannelModel, regions: DecisionRegions) -> np.ndarray:
         Row x holds the LLRs for sent symbol x.
     """
     c = ch.constellation
-    t = transition_matrix(ch, regions)
+    t = transition_matrix(ch)
     out = np.empty((c.order, c.bits_per_symbol))
     with np.errstate(divide="ignore"):
         for l in range(c.bits_per_symbol):
@@ -300,7 +299,7 @@ def _soft_inputs(cell: _Cell, x, y):
         return demap(i, c), lappr_batch(n, x, transform, alpha=cell.spec.alpha), n
     if cell.scheme == "hard":
         regions = map_decision_regions(c, ch.noise_variance)
-        return demap(decide(y, regions), c), hard_rr_lapprs(ch, regions)[x], None
+        return demap(decide(y, regions), c), hard_rr_lapprs(ch)[x], None
     return demap(x, c), direct_bit_llrs(y, ch), None
 
 
@@ -322,33 +321,24 @@ def _frame(cell: _Cell, rng):
     return out, target, syn, n
 
 
-def run_protocol(spec: ExperimentSpec, seed, snr_db: float | None = None, config=None) -> ProtocolResult:
-    """Simulate one full softened-reverse frame.
+def run_protocol(spec: ExperimentSpec) -> ProtocolResult:
+    """Simulate one full softened-reverse frame of ``spec``.
 
-    The sender draws symbols, the channel adds noise, the receiver decides,
-    softens, demaps, and computes the syndrome; the sender then builds
-    LAPPRs from its own symbols and the disclosed metric and decodes toward
-    the receiver's bits. Non-convergence is recorded in the outcome, never
-    raised.
-
-    Parameters
-    ----------
-    spec : ExperimentSpec
-    seed : int or numpy seed
-    snr_db : float, optional
-        Defaults to the first grid point.
-    config : MonotonicityConfig or str, optional
-        Defaults to the first config of the spec.
+    The frame runs at the spec's first grid point with its first config,
+    and draws from a generator seeded with ``spec.master_seed``, so one
+    spec names one frame. The sender draws symbols and the channel adds
+    noise; the receiver decides, softens, demaps and computes the syndrome;
+    the sender then builds LAPPRs from its own symbols and the disclosed
+    metric and decodes toward the receiver's bits. Non-convergence is
+    recorded in the outcome, never raised.
 
     Returns
     -------
     ProtocolResult
         alice_bits, bob_bits, transcript, and the decode outcome.
     """
-    snr = spec.snr_grid_db[0] if snr_db is None else snr_db
-    cfg = spec.configs[0] if config is None else config
-    cell = _Cell(replace(spec, snr_grid_db=(snr,), configs=(cfg,)), 0, "rrs")
-    out, bob, syn, n = _frame(cell, np.random.default_rng(seed))
+    cell = _Cell(spec, 0, "rrs")
+    out, bob, syn, n = _frame(cell, np.random.default_rng(spec.master_seed))
     transcript = Transcript(n_values=n, syndrome=syn)
     return ProtocolResult(alice_bits=out.bits, bob_bits=bob, transcript=transcript, outcome=out)
 

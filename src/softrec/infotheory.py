@@ -24,7 +24,7 @@ from scipy import integrate
 from scipy.special import logsumexp, ndtr
 
 from softrec.channel import ChannelModel, output_density
-from softrec.constellation import DecisionRegions, map_decision_regions
+from softrec.constellation import map_decision_regions
 from softrec.metrics import _log_joint_from_y
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
@@ -83,14 +83,13 @@ class MiResult:
             raise ValueError("mutual information cannot be negative")
 
 
-def transition_matrix(ch: ChannelModel, regions: DecisionRegions | None = None) -> np.ndarray:
+def transition_matrix(ch: ChannelModel) -> np.ndarray:
     """Hard-decision channel matrix T[j, i] = P(decision i | sent j).
 
-    Entries are differences of Gaussian CDFs at the region boundaries; each
-    row sums to 1 within 1e-12.
+    Entries are differences of Gaussian CDFs at the boundaries of the
+    channel's MAP regions; each row sums to 1 within 1e-12.
     """
-    if regions is None:
-        regions = map_decision_regions(ch.constellation, ch.noise_variance)
+    regions = map_decision_regions(ch.constellation, ch.noise_variance)
     a = ch.constellation.points
     z = (regions.boundaries[None, :] - a[:, None]) / ch.sigma
     cdf = np.concatenate(
@@ -151,6 +150,19 @@ def mi_hard(ch: ChannelModel) -> float:
     return float(np.sum(p[:, None] * terms))
 
 
+def _metric_integral(integrand, what: str, max_err: float):
+    """(integral over the metric n in [0, 1], error estimate) of a vector
+    integrand in bits, warning when the estimate exceeds ``max_err``."""
+    res, err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
+    if err > max_err:
+        warnings.warn(
+            f"{what} quadrature stopped at error estimate {err:.2e} bits",
+            QuadratureWarning,
+            stacklevel=3,
+        )
+    return res, float(err)
+
+
 def _log_joint_matrix(n: float, t: SofteningTransform) -> np.ndarray:
     """log f(n, i | j) for all (decision i, sent j) at one metric value."""
     m = t.order
@@ -177,16 +189,10 @@ def mi_rrs(t: SofteningTransform, with_error: bool = False):
         logz = logsumexp(logf, axis=0, keepdims=True)
         return np.sum(np.exp(logf) * (logf - logz), axis=0) / _LN2
 
-    res, err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
+    res, err = _metric_integral(integrand, "rrs-MI", 1e-5)
     value = h_xhat + float(np.sum(priors * res))
-    if err > 1e-5:
-        warnings.warn(
-            f"rrs-MI quadrature stopped at error estimate {err:.2e} bits",
-            QuadratureWarning,
-            stacklevel=2,
-        )
     if with_error:
-        return value, float(err)
+        return value, err
     return value
 
 
@@ -196,7 +202,8 @@ def leakage(t: SofteningTransform) -> float:
     The result is zero by algebra, not by measurement: for any
     ``SofteningTransform``, whatever its ``cdf_edges``, sum_j P_j f(n, i | j)
     = dF_i, so the integrand is identically zero and the value (<= 1e-6
-    bits) measures rounding only. It cannot detect a broken transform; one
+    bits) measures rounding only; a quadrature error estimate above 1e-6
+    bits raises ``QuadratureWarning``. It cannot detect a broken transform; one
     that does not match its channel is caught by the audit's Monte-Carlo MI
     and KS uniformity checks on simulated outputs.
     """
@@ -212,6 +219,6 @@ def leakage(t: SofteningTransform) -> float:
         log_mix = logsumexp(log_df + log_cond)
         return np.exp(log_cond) * (log_cond - log_mix) / _LN2
 
-    res, _err = integrate.quad_vec(integrand, 0.0, 1.0, quadrature="gk15", **_QUAD)
+    res, _ = _metric_integral(integrand, "leakage", 1e-6)
     return float(np.sum(t.deltas * res))
 

@@ -61,8 +61,8 @@ class LdpcCode:
     chk_ptr : ndarray, shape (m+1,)
         Row-compressed offsets into ``chk_var``.
     chk_var : ndarray, shape (E,)
-        Variable index of each edge, grouped by check, ascending inside
-        each check.
+        Variable index of each edge, grouped by check, strictly ascending
+        inside each check, so no check names a variable twice.
     """
 
     n: int
@@ -93,6 +93,9 @@ class LdpcCode:
         if col_deg.min() < 1:
             raise ValueError("every variable must appear in at least one check")
         edge_chk = np.repeat(np.arange(self.m, dtype=np.int64), degrees)
+        same_check = edge_chk[1:] == edge_chk[:-1]
+        if np.any(np.diff(chk_var)[same_check] <= 0):
+            raise ValueError("variable indices must strictly increase within each check")
         var_edge = np.argsort(chk_var, kind="stable").astype(np.int64)
         var_ptr = np.concatenate(([0], np.cumsum(col_deg))).astype(np.int64)
         object.__setattr__(self, "edge_chk", edge_chk)
@@ -329,14 +332,14 @@ def build_staircase_code(group_addresses: list[list[int]], group: int = 360) -> 
     ``(a + s*q) mod m`` for each base address ``a`` of the group, with
     q = m / group. Parity variable c joins checks c and c+1 (the
     accumulator chain), giving every parity column degree 2 except the last.
-    The number of checks m is q*group with q inferred from the address
-    range; callers pass m explicitly via the address table contract:
-    addresses lie in [0, m).
+    The number of checks m is inferred: the smallest multiple of ``group``
+    above the largest address. A group row that names one address twice
+    would make double edges, and ``LdpcCode`` rejects it.
 
     Parameters
     ----------
     group_addresses : list of list of int
-        One row per info group; entries in [0, m).
+        One row per info group; non-negative entries.
     group : int
         Info bits per group (circulant size), 360 for the broadcast family.
     """

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -34,3 +35,20 @@ def test_traced_boundaries_exist():
         if not hasattr(importlib.import_module(f"softrec.{mod}"), attr)
     ]
     assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    # every imported name is used in the module or re-exported in __all__;
+    # a deletion that leaves an import behind fails here
+    tree = ast.parse((Path(softrec.__file__).parent / f"{module}.py").read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(getattr(importlib.import_module(f"softrec.{module}"), "__all__", ()))
+    assert sorted(imported - used - exported) == []

@@ -289,6 +289,17 @@ class TestReconcileCommand:
         doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert doc["snr_db"] == 3.0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--snr", "1,8"), ("--snr", "1:3:1"),
+         ("--config", "alternating,base"), ("--config", "all")],
+    )
+    def test_one_snr_and_one_config(self, tmp_path, capsys, flag, value):
+        # a frame has one operating point; extra values are an error, not dropped
+        assert run(["reconcile", flag, value, "--out", str(tmp_path)]) == 2
+        assert f"one {flag} value" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
 
 class TestCodegenCommand:
     def test_directory_out_names_the_file(self, tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from softrec.channel import ChannelModel
-from softrec.constellation import Constellation, map_decision_regions, pam
+from softrec.constellation import Constellation, pam
 from softrec.harness import (
     MI_TARGETS,
     SCHEMES,
@@ -133,24 +133,22 @@ class TestHardBaseline:
     def test_bpsk_bsc_closed_form(self):
         c = pam(2)
         ch = ChannelModel(c, 0.5)
-        r = map_decision_regions(c, 0.5)
-        table = hard_rr_lapprs(ch, r)
+        table = hard_rr_lapprs(ch)
         assert table[0, 0] == pytest.approx(BSC_LLR, rel=1e-12)
         assert table[1, 0] == pytest.approx(-BSC_LLR, rel=1e-12)
 
     def test_symmetric_alphabet_antisymmetric_table(self):
         c = pam(4)
         ch = ChannelModel(c, 2.5)
-        r = map_decision_regions(c, 2.5)
-        lo, hi = hard_rr_lapprs(ch, r)[[0, 3]]
+        lo, hi = hard_rr_lapprs(ch)[[0, 3]]
         # mirrored symbols carry mirrored first-bit evidence
         assert lo[0] == pytest.approx(-hi[0], rel=1e-9)
 
 
 class TestRunProtocol:
     def test_high_snr_reconciles_exactly(self):
-        spec = tiny_spec(snr_grid_db=(14.0,))
-        res = run_protocol(spec, seed=3)
+        spec = tiny_spec(snr_grid_db=(14.0,), master_seed=3)
+        res = run_protocol(spec)
         assert res.outcome.converged
         np.testing.assert_array_equal(res.alice_bits, res.bob_bits)
 
@@ -169,8 +167,8 @@ class TestRunProtocol:
         ]
 
     def test_transcript_contents(self):
-        spec = tiny_spec(snr_grid_db=(6.0,))
-        res = run_protocol(spec, seed=11)
+        spec = tiny_spec(snr_grid_db=(6.0,), master_seed=11)
+        res = run_protocol(spec)
         code = hamming74()
         assert res.transcript.n_values.size >= code.n // 2
         assert np.all((res.transcript.n_values >= 0) & (res.transcript.n_values <= 1))
@@ -179,14 +177,20 @@ class TestRunProtocol:
         )
 
     def test_deterministic_given_seed(self):
-        r1 = run_protocol(tiny_spec(), seed=9)
-        r2 = run_protocol(tiny_spec(), seed=9)
+        r1 = run_protocol(tiny_spec(master_seed=9))
+        r2 = run_protocol(tiny_spec(master_seed=9))
         np.testing.assert_array_equal(r1.bob_bits, r2.bob_bits)
         np.testing.assert_array_equal(r1.transcript.n_values, r2.transcript.n_values)
 
-    def test_explicit_point_overrides(self):
-        res = run_protocol(tiny_spec(snr_grid_db=(0.0, 14.0)), seed=3, snr_db=14.0)
-        assert res.outcome.converged
+    def test_runs_first_point_and_config(self):
+        # a longer grid and config list do not change the frame
+        one = run_protocol(tiny_spec(snr_grid_db=(14.0,), master_seed=3))
+        many = run_protocol(
+            tiny_spec(snr_grid_db=(14.0, 0.0), configs=("alternating", "base"), master_seed=3)
+        )
+        assert one.outcome.converged
+        np.testing.assert_array_equal(one.transcript.n_values, many.transcript.n_values)
+        np.testing.assert_array_equal(one.alice_bits, many.alice_bits)
 
 
 class TestMissingBitmap:
@@ -201,7 +205,7 @@ class TestMissingBitmap:
         with pytest.raises(ValueError, match="bitmap"):
             ber_sweep(spec)
         with pytest.raises(ValueError, match="bitmap"):
-            run_protocol(spec, seed=1)
+            run_protocol(spec)
 
     def test_mi_sweep_still_runs(self):
         res = mi_sweep(self.no_bitmap_spec())
@@ -339,7 +343,7 @@ class TestCrossCommitPin:
 
     def test_run_protocol_frame(self):
         # an undetected error: the decoder meets the syndrome with wrong bits
-        res = run_protocol(tiny_spec(snr_grid_db=(1.0,)), seed=19)
+        res = run_protocol(tiny_spec(snr_grid_db=(1.0,), master_seed=19))
         assert res.transcript.n_values.tolist() == [
             0.02680506563359011,
             0.48439534082919533,

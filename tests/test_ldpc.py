@@ -80,6 +80,13 @@ class TestLdpcCodeValidation:
         with pytest.raises(ValueError):
             LdpcCode(n=2, m=1, chk_ptr=np.array([0, 2]), chk_var=np.array([0, 5]))
 
+    @pytest.mark.parametrize("chk_var", [[1, 0, 0], [0, 1, 1], [1, 0]])
+    def test_rejects_check_not_strictly_increasing(self, chk_var):
+        # a repeated variable is a double edge: it would cancel in the
+        # syndrome ([1, 0] has syndrome 0 under [1, 0, 0])
+        with pytest.raises(ValueError, match="strictly increase"):
+            LdpcCode(n=2, m=1, chk_ptr=[0, len(chk_var)], chk_var=chk_var)
+
 
 class TestSyndrome:
     def test_exhaustive_against_dense_multiply(self):
@@ -276,6 +283,12 @@ class TestStaircase:
     def test_rejects_empty_groups(self):
         with pytest.raises(ValueError):
             build_staircase_code([], group=4)
+
+    def test_rejects_repeated_address(self):
+        # one address twice in a group row would give every bit of the
+        # group a double edge to the same check
+        with pytest.raises(ValueError, match="strictly increase"):
+            build_staircase_code([[0, 0]], group=4)
 
 
 class TestDvbs2Profile:

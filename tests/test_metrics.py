@@ -29,7 +29,7 @@ class TestJointConditionalDensity:
     def test_integrates_to_transition_probability(self, t_base, j):
         # integrating out n recovers P(X_hat = i | X = j) from the plain
         # Gaussian tail calculation, tying the density to an external truth
-        T = transition_matrix(t_base.channel, t_base.regions)
+        T = transition_matrix(t_base.channel)
         for i in range(4):
             val, err = quad(
                 lambda n: np.exp(log_joint_conditional_density(n, i, j, t_base)),

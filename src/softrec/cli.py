@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.stats import kstest
+from scipy.stats import kstwo
 
 from .channel import ChannelModel, transmit
 from .constellation import pam
@@ -308,9 +308,7 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
 
     # Plug-in MI of the (decision, binned metric) joint with the
     # Miller-Madow correction; zero leakage shows up at the sampling floor.
-    joint, _, _ = np.histogram2d(
-        d, n, bins=[order, MC_BINS], range=[[-0.5, order - 0.5], [0.0, 1.0]]
-    )
+    joint = _joint_counts(d, n, order)
     total = joint.sum()
     pj = joint / total
     pr = pj.sum(axis=1, keepdims=True)
@@ -324,9 +322,42 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
 
     ks_min = 1.0
     for i in range(order):
-        p = kstest(n[d == i], "uniform").pvalue
-        ks_min = min(ks_min, float(p))
+        ks_min = min(ks_min, _ks_uniform(n[d == i])[1])
     return analytic, mc, ks_min
+
+
+def _joint_counts(d: np.ndarray, n: np.ndarray, order: int) -> np.ndarray:
+    """(order, MC_BINS) counts of (decision, metric bin) pairs.
+
+    The same counts as ``np.histogram2d(d, n, bins=[order, MC_BINS],
+    range=[[-0.5, order - 0.5], [0, 1]])``, as integers, for decisions in
+    [0, order) and metrics in [0, 1]: bin k holds edge[k] <= n < edge[k + 1]
+    over the ``np.linspace`` edges, and the last bin also holds n = 1.
+    floor(n * MC_BINS) is off by at most one bin near an edge, so it is
+    moved down or up against the edges themselves.
+    """
+    edges = np.linspace(0.0, 1.0, MC_BINS + 1)
+    k = np.minimum((n * MC_BINS).astype(np.intp), MC_BINS - 1)
+    k -= n < edges[k]
+    k += (n >= edges[k + 1]) & (k < MC_BINS - 1)
+    counts = np.bincount(d * MC_BINS + k, minlength=order * MC_BINS)
+    return counts.reshape(order, MC_BINS)
+
+
+def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
+    """(statistic, p-value) of the two-sided one-sample KS test of ``x``
+    against Uniform[0, 1], from one sort.
+
+    The statistic D = max(D+, D-) and the p-value clip(kstwo.sf(D, N), 0, 1)
+    are computed as ``scipy.stats.kstest(x, "uniform")`` computes them, whose
+    CDF values on [0, 1] are x itself, so both agree with it bit for bit.
+    """
+    x = np.sort(x)
+    size = x.size
+    d_plus = np.max(np.arange(1.0, size + 1) / size - x)
+    d_minus = np.max(x - np.arange(0.0, size) / size)
+    stat = float(max(d_plus, d_minus))
+    return stat, float(np.clip(kstwo.sf(stat, size), 0.0, 1.0))
 
 
 def _cmd_audit(resolved: dict) -> int:

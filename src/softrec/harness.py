@@ -96,7 +96,7 @@ class ExperimentSpec:
     ----------
     constellation : Constellation
     snr_grid_db : tuple of float
-        Non-empty, ascending recommended (not enforced).
+        Non-empty and finite; ascending recommended (not enforced).
     schemes : tuple of str
         Subset of {'direct', 'hard', 'rrs'}.
     configs : tuple of MonotonicityConfig
@@ -135,6 +135,8 @@ class ExperimentSpec:
         grid = tuple(float(s) for s in self.snr_grid_db)
         if not grid:
             raise ValueError("snr grid must be non-empty")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError(f"snr_grid_db must be finite, got {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
         schemes = tuple(self.schemes)
         for s in schemes:

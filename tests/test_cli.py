@@ -5,6 +5,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import kstest
 
 import softrec.cli as cli
 from softrec.channel import ChannelModel
@@ -84,6 +87,14 @@ class TestArgumentHandling:
         rc = run([command, "--snr", "6", "--seed", "-1", "--out", str(tmp_path)])
         assert rc == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["reconcile", "--snr", "nan"], ["mi-sweep", "--snr", "inf", "--schemes", "hard"]]
+    )
+    def test_non_finite_snr_rejected_before_echo(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert "snr_grid_db must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run_log.jsonl").exists()
 
     @pytest.mark.parametrize("level, ok", [("WARNING", True), ("Error", True), ("warnig", False)])
@@ -369,6 +380,62 @@ class TestAuditCommand:
         )
         assert rc == 1
         assert "failed" in capsys.readouterr().err.lower()
+
+
+def _near_edges(bins: int) -> list:
+    """Every bin edge, and the doubles on either side of it, inside [0, 1]."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    return sorted({float(v) for v in near if 0.0 <= v <= 1.0})
+
+
+# With 7 bins, floor(n * bins) lands one bin low just above some edges; with
+# the audit's 20 it lands one bin high just below some.
+_BINS = (cli.MC_BINS, 7)
+_NEAR_EDGES = sorted(set().union(*(_near_edges(b) for b in _BINS)))
+_METRIC = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_NEAR_EDGES))
+
+
+class TestAuditCellShortcuts:
+    # the audit cell's histogram and KS test against the numpy and scipy
+    # routines they stand in for
+
+    @staticmethod
+    def _joint_counts_both_ways(d, n, bins):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "MC_BINS", bins)
+            got = cli._joint_counts(d, n, 4)
+        want, _, _ = np.histogram2d(d, n, bins=[4, bins], range=[[-0.5, 3.5], [0.0, 1.0]])
+        return got.tolist(), want.tolist()
+
+    @pytest.mark.parametrize("bins", _BINS)
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 3), _METRIC), min_size=1, max_size=300))
+    def test_joint_counts_match_histogram2d(self, bins, pairs):
+        d = np.array([p[0] for p in pairs])
+        n = np.array([p[1] for p in pairs])
+        got, want = self._joint_counts_both_ways(d, n, bins)
+        assert got == want
+
+    @pytest.mark.parametrize("bins", _BINS)
+    def test_joint_counts_on_a_large_sample(self, bins):
+        rng = np.random.default_rng(5)
+        n = np.concatenate([rng.random(200_000), _NEAR_EDGES])
+        got, want = self._joint_counts_both_ways(rng.integers(0, 4, n.size), n, bins)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_METRIC, min_size=1, max_size=400))
+    def test_ks_matches_kstest(self, xs):
+        x = np.array(xs)
+        want = kstest(x, "uniform")
+        assert cli._ks_uniform(x) == (want.statistic, want.pvalue)
+
+    @pytest.mark.parametrize("size, power", [(150_000, 1.0), (150_000, 1.02), (3, 1.0)])
+    def test_ks_matches_kstest_on_large_samples(self, size, power):
+        x = np.random.default_rng(size).random(size) ** power
+        want = kstest(x, "uniform")
+        assert cli._ks_uniform(x) == (want.statistic, want.pvalue)
 
 
 class TestParserSmoke:

@@ -75,6 +75,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             tiny_spec(snr_grid_db=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_snr(self, bad):
+        with pytest.raises(ValueError, match="snr_grid_db must be finite"):
+            tiny_spec(snr_grid_db=(0.0, bad))
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             tiny_spec(alpha=0.0)

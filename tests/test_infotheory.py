@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import ndtr
 
 from softrec import infotheory
 from softrec.channel import ChannelModel
 from softrec.infotheory import (
+    QUAD_ABS_TOL,
+    QUAD_REL_TOL,
     MiResult,
     QuadratureWarning,
     leakage,
@@ -137,17 +140,59 @@ class TestLeakage:
         assert abs(leakage(bad)) <= 1e-9
 
 
+def _peaked(x):
+    """A Lorentzian of half-width 1e-3 at 0.3 beside two smooth components."""
+    return np.stack([1e-3 / ((x - 0.3) ** 2 + 1e-6), np.cos(7.0 * x), x**3], axis=1)
+
+
+class TestGaussKronrodRule:
+    def test_matches_quad_on_a_sharp_peak(self):
+        res, err = infotheory._gk_integrate(_peaked, (0.0, 1.0))
+        ref = [
+            quad(lambda x, k=k: _peaked(np.array([x]))[0, k], 0.0, 1.0,
+                 points=[0.3], epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+            for k in range(3)
+        ]
+        target = max(QUAD_ABS_TOL, QUAD_REL_TOL * np.linalg.norm(ref))
+        assert err <= target
+        assert np.linalg.norm(res - ref) <= target
+
+    def test_panels_split_at_the_edges(self):
+        # one starting panel per edge pair gives the same integral
+        res, err = infotheory._gk_integrate(_peaked, (0.0, 0.3, 0.5, 1.0))
+        whole, whole_err = infotheory._gk_integrate(_peaked, (0.0, 1.0))
+        assert np.linalg.norm(res - whole) <= err + whole_err
+
+    def test_exact_on_polynomials_over_one_panel(self, monkeypatch):
+        # 15 Kronrod nodes integrate every polynomial of degree <= 22 exactly;
+        # a limit of one panel keeps the first pass's value
+        monkeypatch.setattr(infotheory, "QUAD_LIMIT", 1)
+        a, b = -1.0, 2.0
+        k = np.arange(23)
+        res, _ = infotheory._gk_integrate(lambda x: x[:, None] ** k, (a, b))
+        np.testing.assert_allclose(res, (b ** (k + 1) - a ** (k + 1)) / (k + 1), rtol=1e-14)
+
+    def test_warns_when_the_panel_limit_binds(self, monkeypatch):
+        monkeypatch.setattr(infotheory, "QUAD_LIMIT", 4)
+        with pytest.warns(QuadratureWarning, match="peak quadrature"):
+            _, err = infotheory._integrate(_peaked, (0.0, 1.0), "peak", 1e-6)
+        assert err > 1e-6
+
+
 class TestQuadratureWarning:
     @pytest.mark.parametrize(
-        "evaluate, label, err", [(leakage, "leakage", 2e-6), (mi_rrs, "rrs-MI", 2e-5)]
+        "evaluate, label, err",
+        [
+            (leakage, "leakage", 2e-6),
+            (mi_rrs, "rrs-MI", 2e-5),
+            (lambda t: mi_direct(t.channel), "direct-MI", 2e-6),
+        ],
     )
     def test_large_error_estimate_warns(self, t_base, monkeypatch, evaluate, label, err):
         # the integrands are smooth, so their own estimates stay far below
         # the thresholds; report a larger one to reach the warning
-        quad_vec = infotheory.integrate.quad_vec
-        monkeypatch.setattr(
-            infotheory.integrate, "quad_vec", lambda *a, **k: (quad_vec(*a, **k)[0], err)
-        )
+        rule = infotheory._gk_integrate
+        monkeypatch.setattr(infotheory, "_gk_integrate", lambda f, edges: (rule(f, edges)[0], err))
         with pytest.warns(QuadratureWarning, match=label):
             evaluate(t_base)
 

@@ -12,10 +12,12 @@ warns (``QuantileWarning``) if any remain at its iteration cap.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ndtr, ndtri
 
 from softrec.constellation import Constellation
@@ -36,6 +38,8 @@ __all__ = [
 QUANTILE_TOL = 1e-12
 # Newton iterations before the solve gives up on a point and warns.
 _MAX_NEWTON = 200
+# Grid points of the quantile solve's start.
+_GRID = 256
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -94,13 +98,12 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
     return noisy
 
 
-def _mixture_z(y, ch: ChannelModel, name: str):
-    """``(arr, z)``: ``y`` as a NaN-checked float array, and its standardised
-    distance z = (y - a_j) / sigma to every point, along a new last axis."""
+def _checked(y, name: str) -> np.ndarray:
+    """``y`` as a float array; NaN is rejected."""
     arr = np.asarray(y, dtype=float)
     if np.isnan(arr).any():
         raise ValueError(f"{name}: NaN input")
-    return arr, (arr[..., None] - ch.constellation.points) / ch.sigma
+    return arr
 
 
 def _shaped(arr: np.ndarray, vals):
@@ -110,30 +113,75 @@ def _shaped(arr: np.ndarray, vals):
     return vals
 
 
-def _cdf(z, ch: ChannelModel):
-    """sum_j P_j Phi(z_j) over the last axis of the standardised distances."""
-    return np.sum(ch.constellation.priors * ndtr(z), axis=-1)
+# The mixture kernels work one component at a time, on arrays shaped like y,
+# and add the components' terms left to right. For M <= 4 that is the order
+# of numpy's np.sum over a last axis of length M, so they return the same bits
+# as the (..., M) form sum(priors * f(z), axis=-1); for M >= 8 numpy sums in
+# blocks, and the last bits can differ from that form.
 
 
-def _density(z, ch: ChannelModel):
-    """sum_j P_j phi(z_j) / sigma over the last axis of the standardised distances."""
-    return np.sum(ch.constellation.priors * np.exp(-0.5 * z * z), axis=-1) / (
-        np.sqrt(2.0 * np.pi) * ch.sigma
-    )
+def _components(y, ch: ChannelModel, sgn=None):
+    """Each point's prior P_j with its standardised distance
+    z_j = (y - a_j) / sigma, times ``sgn`` when it is given. Each z_j is a
+    new array, which the caller may overwrite."""
+    for a, w in zip(ch.constellation.points, ch.constellation.priors):
+        z = np.subtract(y, a, out=np.empty(np.shape(y)))
+        z /= ch.sigma
+        if sgn is not None:
+            z *= sgn
+        yield w, z
+
+
+def _phi_term(w, z):
+    """w * exp(-z * z / 2), computed in the memory of z. Halving is exact
+    (short of subnormal z * z, where exp gives 1 either way), so this is
+    bit for bit w * exp(-0.5 * z * z)."""
+    z *= z
+    z *= -0.5
+    np.exp(z, out=z)
+    z *= w
+    return z
+
+
+def _cdf(y, ch: ChannelModel, sgn=None):
+    """sum_j P_j Phi(z_j); with ``sgn`` = -1, the survival function."""
+    total = np.zeros(np.shape(y))
+    for w, z in _components(y, ch, sgn):
+        ndtr(z, out=z)
+        z *= w
+        total += z
+    return total
+
+
+def _density(y, ch: ChannelModel):
+    """sum_j P_j phi(z_j) / sigma."""
+    total = np.zeros(np.shape(y))
+    for w, z in _components(y, ch):
+        total += _phi_term(w, z)
+    return total / (np.sqrt(2.0 * np.pi) * ch.sigma)
 
 
 def output_density(y, ch: ChannelModel):
     """Mixture density f_Y(y); strictly positive, integrates to 1."""
-    arr, z = _mixture_z(y, ch, "output_density")
-    return _shaped(arr, _density(z, ch))
+    arr = _checked(y, "output_density")
+    return _shaped(arr, _density(arr, ch))
 
 
 def log_output_density(y, ch: ChannelModel):
     """log f_Y(y), stable far into the tails where the density underflows."""
-    arr, z = _mixture_z(y, ch, "log_output_density")
-    expo = -0.5 * z * z + np.log(ch.constellation.priors)
-    top = np.max(expo, axis=-1)
-    out = top + np.log(np.sum(np.exp(expo - top[..., None]), axis=-1))
+    arr = _checked(y, "log_output_density")
+    expo = []
+    for lw, (_, z) in zip(np.log(ch.constellation.priors), _components(arr, ch)):
+        z *= z
+        z *= -0.5
+        z += lw
+        expo.append(z)
+    top = functools.reduce(np.maximum, expo)
+    total = np.zeros(arr.shape)
+    for e in expo:
+        e -= top
+        total += np.exp(e, out=e)
+    out = top + np.log(total)
     out -= _LOG_SQRT_2PI + np.log(ch.sigma)
     return _shaped(arr, out)
 
@@ -145,30 +193,43 @@ def output_cdf(y, ch: ChannelModel):
     relative precision in a double. Use ``output_sf`` when the upper-tail
     mass itself is needed.
     """
-    arr, z = _mixture_z(y, ch, "output_cdf")
-    return _shaped(arr, _cdf(z, ch))
+    arr = _checked(y, "output_cdf")
+    return _shaped(arr, _cdf(arr, ch))
 
 
 def output_sf(y, ch: ChannelModel):
     """Survival function P(Y > y); accurate (relative) in the upper tail."""
-    arr, z = _mixture_z(y, ch, "output_sf")
-    return _shaped(arr, _cdf(-z, ch))
+    arr = _checked(y, "output_sf")
+    return _shaped(arr, _cdf(arr, ch, -1.0))
 
 
 def output_quantile(p, ch: ChannelModel):
     """Invert the output CDF: find y with F_Y(y) = p.
 
     Safeguarded Newton iteration with a per-element bisection bracket,
-    starting from the single-Gaussian moment-matched guess. The lower bracket
-    edge, shared by every point it has not yet passed, grows by doubling
-    steps tested once per round at that one scalar. Each Newton iteration
-    then runs on the active set, the points not yet solved; a solved point
-    leaves it. Every step is elementwise, so a point's result does not
-    depend on the others in ``p``. A point terminates at
+    started from a grid that each call builds from the channel alone
+    (Hörmann & Leydold, ACM TOMACS 13(4), 2003):
+
+    - Start. 256 (``_GRID``) points y_k span [min a - 8 sigma,
+      max a + 8 sigma]. Each gets its normal score u_k = Phi^{-1}(F_Y(y_k))
+      on the lower half and -Phi^{-1}(P(Y > y_k)) on the upper half. A cubic
+      Hermite curve interpolates y(u) with the exact slope phi(u) / f_Y(y),
+      and a point starts at y(u) for its own normal score.
+    - Bracket. The grid cell around a point, found by comparing its tail
+      mass with the grid's, is its bracket.
+    - Far tail. A point past the grid starts from the dominant edge
+      component alone, y = a_min + sigma Phi^{-1}(p / P(a_min)), mirrored in
+      the upper tail. Its lower bracket edge grows by doubling steps, tested
+      once per round at one scalar.
+
+    Each Newton iteration then runs on the active set, the points not yet
+    solved; a solved point leaves it. Every step is elementwise, so a
+    point's result depends only on (p, ch). A point terminates at
     |F_Y(y) - p| <= 2 * QUANTILE_TOL * min(p, 1 - p) or a machine-width
-    bracket; strictly increasing in p. Points still unsolved after
-    ``_MAX_NEWTON`` iterations are returned as they stand, with a
-    ``QuantileWarning`` giving their count and worst relative residual.
+    bracket. Most points stop after one Newton step, on the second pass.
+    Points still unsolved after ``_MAX_NEWTON`` iterations are returned as
+    they stand, with a ``QuantileWarning`` giving their count and worst
+    relative residual.
 
     Parameters
     ----------
@@ -181,54 +242,83 @@ def output_quantile(p, ch: ChannelModel):
     -------
     float or ndarray
     """
-    arr = np.asarray(p, dtype=float)
-    if np.isnan(arr).any():
-        raise ValueError("output_quantile: NaN input")
+    arr = _checked(p, "output_quantile")
     if arr.size and (arr.min() <= 0.0 or arr.max() >= 1.0):
         raise ValueError("output_quantile: p must lie strictly inside (0, 1)")
-    scalar = arr.ndim == 0
-    pv = np.atleast_1d(arr.astype(float)).reshape(-1)
+    if not arr.size:
+        return np.empty(arr.shape)
+    pv = arr.reshape(-1)
 
     # Solve on whichever tail is well conditioned for each element: the
     # upper one (sgn = -1) where p > 1/2, where 1 - p is exact (Sterbenz), so
-    # the given value is never degraded. _cdf(-z) is the survival function,
-    # and sgn * (_cdf(sgn * z) - target) increases in y on both tails.
+    # the given value is never degraded. _cdf(y, ch, -1) is the survival
+    # function, and sgn * (_cdf(y, ch, sgn) - target) increases in y on both
+    # tails. The points a_j increase, so a_min = a_0 and a_max = a_{M-1}.
     upper = pv > 0.5
     sgn = np.where(upper, -1.0, 1.0)
     target = np.where(upper, 1.0 - pv, pv)
 
-    pts = ch.constellation.points
+    pts, priors = ch.constellation.points, ch.constellation.priors
     sig = ch.sigma
 
     def residual(y: np.ndarray, sgn: np.ndarray, target: np.ndarray):
         """(residual, density) at y; z carries the sign, which z * z drops."""
-        z = sgn[:, None] * ((y[:, None] - pts) / sig)
-        return sgn * (_cdf(z, ch) - target), _density(z, ch)
+        tail = np.zeros(y.shape)
+        dens = np.zeros(y.shape)
+        for w, z in _components(y, ch, sgn):
+            tail += w * ndtr(z)
+            dens += _phi_term(w, z)
+        return sgn * (tail - target), dens / (np.sqrt(2.0 * np.pi) * sig)
 
-    # Bracket [lo, hi] with residual(lo) <= 0 <= residual(hi). The upper
-    # tail mass past max(a) + 10 sigma is at most Phi(-10) ~ 7.6e-24, below
-    # any double 1 - p >= 2**-53, so hi never needs to grow. F_Y(min(a) -
-    # 10 sigma) can exceed a tiny p, so lo moves outward by a doubling step
-    # until the residual there is <= 0. Every point still growing shares one
-    # edge, so each round tests the mixture tails at that one scalar.
-    hi = np.full(pv.shape, pts.max() + 10.0 * sig)
-    edge = pts.min() - 10.0 * sig
-    lo = np.full(pv.shape, edge)
-    span = float(pts.max() - pts.min()) + 10.0 * sig
-    grow = np.ones(pv.shape, dtype=bool)
+    # The grid's tail masses are the residual's own sums at y_k, so comparing
+    # them with a point's target gives it a bracket [lo, hi] with
+    # residual(lo) <= 0 <= residual(hi): c counts the grid points where the
+    # residual is <= 0, and the cell is (grid[c - 1], grid[c]). Past the top,
+    # hi = a_max + 10 sigma holds every upper point, since the tail mass
+    # there is at most Phi(-10) ~ 7.6e-24, below any double 1 - p >= 2**-53.
+    # Past the bottom, lo starts at a_min - 10 sigma and grows below.
+    grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _GRID)
+    cdf = _cdf(grid, ch)
+    sf = _cdf(grid, ch, -1.0)
+    c = np.empty(pv.shape, dtype=np.intp)
+    c[~upper] = np.searchsorted(cdf, target[~upper], "right")
+    c[upper] = _GRID - np.searchsorted(sf[::-1], target[upper], "left")
+    ends = np.concatenate(([pts[0] - 10.0 * sig], grid, [pts[-1] + 10.0 * sig]))
+    lo = ends[c]
+    hi = ends[c + 1]
+
+    # The Hermite curve through the grid's normal scores. A flat stretch of
+    # the CDF repeats a score, and a saturated tail gives an infinite one;
+    # the curve keeps the points where the score is finite and rises.
+    u = np.where(cdf <= 0.5, ndtri(cdf), -ndtri(sf))
+    with np.errstate(over="ignore"):
+        slope = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_output_density(grid, ch))
+    rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
+    usable = rising & np.isfinite(u) & np.isfinite(slope)
+    curve = CubicHermiteSpline(u[usable], grid[usable], slope[usable])
+    y = curve(sgn * ndtri(target))
+
+    # Past the grid, the edge point's own Gaussian tail holds nearly all the
+    # mass: y = a_edge + sgn * sigma * Phi^{-1}(target / P_edge), where the
+    # edge point is the first (lower tail) or the last (upper tail).
+    past = (c == 0) | (c == _GRID)
+    a_edge = np.where(upper[past], pts[-1], pts[0])
+    p_edge = np.where(upper[past], priors[-1], priors[0])
+    y[past] = a_edge + sgn[past] * sig * ndtri(np.minimum(target[past] / p_edge, 1.0))
+
+    # The lower bracket edge of the points below the grid moves outward by a
+    # doubling step until the CDF there is <= p. Every point still growing
+    # shares one edge, so each round evaluates the mixture at that one scalar.
+    grow = c == 0
+    edge = ends[0]
+    span = float(pts[-1] - pts[0]) + 10.0 * sig
     for _ in range(100):
         if not grow.any():
             break
-        z = (edge - pts) / sig
-        grow &= sgn * (np.where(upper, _cdf(-z, ch), _cdf(z, ch)) - target) > 0
+        grow &= _cdf(edge, ch) > target
         edge -= span
         lo[grow] = edge
         span *= 2.0
-
-    priors = ch.constellation.priors
-    mean = float(np.sum(priors * pts))
-    var = float(np.sum(priors * (pts - mean) ** 2) + ch.noise_variance)
-    y = mean + np.sqrt(var) * ndtri(np.clip(pv, 1e-300, 1.0 - 1e-16))
     y = np.clip(y, lo, hi)
 
     # Active set: idx holds the unsolved points, and the working arrays hold
@@ -254,6 +344,12 @@ def output_quantile(p, ch: ChannelModel):
         # about 1 MB of the full-array solve's on a 129,600-point frame
         # (4-8 MB more when they stay alive).
         trial = y - r / np.maximum(f, 1e-300)
+        # A correction under half a spacing of y leaves y where it is, and
+        # bisecting from there would throw the point away from its root. The
+        # root then lies within a spacing, so step one spacing toward it: the
+        # bracket closes to machine width on the next pass.
+        stuck = trial == y
+        trial[stuck] = np.nextafter(y[stuck], np.where(r[stuck] < 0, np.inf, -np.inf))
         del r, f
         fallback = (trial <= lo) | (trial >= hi) | ~np.isfinite(trial)
         y = np.where(fallback, 0.5 * (lo + hi), trial)
@@ -270,6 +366,6 @@ def output_quantile(p, ch: ChannelModel):
             stacklevel=2,
         )
 
-    if scalar:
+    if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

@@ -122,7 +122,7 @@ def _typed(key: str, value):
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge CLI flags over config-file values over defaults."""
-    _, _, keys, overrides = _COMMANDS[args.command]
+    _, _, keys, overrides, _ = _COMMANDS[args.command]
     from_file: dict = {}
     if args.config_file:
         path = Path(args.config_file)
@@ -446,12 +446,14 @@ def _cmd_codegen(resolved: dict) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-# command: (help, handler, option keys, defaults that differ from _OPTIONS)
+# command: (help, handler, option keys, defaults that differ from _OPTIONS,
+# option help texts that differ from _OPTIONS)
 _COMMANDS = {
     "mi-sweep": (
         "mutual information curves and SNR-at-MI table",
         _cmd_mi_sweep,
         _COMMON_KEYS + ("schemes", "configs", "mi_targets"),
+        {},
         {},
     ),
     "ber-sweep": (
@@ -459,11 +461,13 @@ _COMMANDS = {
         _cmd_ber_sweep,
         _COMMON_KEYS + ("schemes", "configs", "code", "alpha", "frames", "workers", "max_iters"),
         {},
+        {},
     ),
     "audit": (
         "disclosure audit: leakage + uniformity checks",
         _cmd_audit,
         _COMMON_KEYS + ("configs", "samples_per_decision"),
+        {},
         {},
     ),
     "reconcile": (
@@ -471,12 +475,14 @@ _COMMANDS = {
         _cmd_reconcile,
         _COMMON_KEYS + ("config", "code", "alpha", "max_iters"),
         {"snr": 3.0},
+        {"snr": "one dB value"},
     ),
     "codegen": (
         "emit a built-in parity-check matrix as alist",
         _cmd_codegen,
         ("code", "out", "log_level"),
         {"code": "dvbs2-r12-64800"},
+        {},
     ),
 }
 
@@ -487,11 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Softened reverse reconciliation simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, _, keys, overrides) in _COMMANDS.items():
+    for command, (summary, _, keys, overrides, texts) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         p.add_argument("--config-file", help="YAML config file (flags win)")
         for key in keys:
             text, kind, default = _OPTIONS[key]
+            text = texts.get(key, text)
             default = overrides.get(key, default)
             if default is not None:
                 text = f"{text}, default {default}"

@@ -170,26 +170,28 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     if np.array_equal(syndrome(code, bits), tgt):
         return DecodeOutcome(bits=bits, converged=True, iterations_used=0)
 
-    # Per-edge syndrome parity, folded into the check-update sign.
-    syn_par = tgt[code.edge_chk].astype(np.int64)
+    # The target syndrome bit of each check, folded into its sign parity.
+    syn = tgt.astype(bool)
     v2c = lam[code.chk_var]
     ptr = code.chk_ptr[:-1]
 
     for it in range(1, max_iters + 1):
         t = np.tanh(0.5 * v2c)
-        neg = (t < 0).astype(np.int64)
+        neg = t < 0
         mag = np.abs(t)
-        np.clip(mag, _MAG_FLOOR, _TANH_CLIP, out=mag)
+        np.maximum(mag, _MAG_FLOOR, out=mag)
+        np.minimum(mag, _TANH_CLIP, out=mag)
         lmag = np.log(mag)
         # Leave-one-out products per check, split into magnitude and sign.
         sum_l = np.add.reduceat(lmag, ptr)
-        sum_neg = np.add.reduceat(neg, ptr)
+        par = np.bitwise_xor.reduceat(neg, ptr)
+        par ^= syn
         excl_l = sum_l[code.edge_chk] - lmag
-        excl_par = (sum_neg[code.edge_chk] - neg + syn_par) & 1
+        excl_neg = par[code.edge_chk] ^ neg
         prod = np.exp(excl_l)
-        np.clip(prod, None, _TANH_CLIP, out=prod)
+        np.minimum(prod, _TANH_CLIP, out=prod)
         c2v = 2.0 * np.arctanh(prod)
-        np.negative(c2v, out=c2v, where=excl_par.astype(bool))
+        np.negative(c2v, out=c2v, where=excl_neg)
 
         acc = np.add.reduceat(c2v[code.var_edge], code.var_ptr[:-1])
         total = lam + acc

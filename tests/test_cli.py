@@ -462,6 +462,18 @@ class TestCliSurface:
         options = {o for a in sub.choices[command]._actions for o in a.option_strings}
         assert options == {"--" + f for f in _FLAGS[command]} | {"--config-file", "-h", "--help"}
 
+    @pytest.mark.parametrize("command", sorted(_FLAGS))
+    def test_snr_help(self, command):
+        # reconcile takes one SNR; the sweeps and the audit take a grid.
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in sub.choices[command]._actions}
+        expect = {
+            "reconcile": "one dB value, default 3.0",
+            "codegen": None,
+        }.get(command, "grid start:stop:step, comma list, or single dB value")
+        assert helps.get("snr") == expect
+
     @pytest.mark.parametrize("argv,expect", _CONFIG_EVENTS, ids=[a[0] for a, _ in _CONFIG_EVENTS])
     def test_config_event(self, argv, expect, tmp_path):
         out = tmp_path / "o"

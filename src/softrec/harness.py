@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -471,7 +472,8 @@ def ber_sweep(
     (master seed, point index, scheme, config, frame index), so the result
     is independent of batching and worker count. Each cell's ``ber-point``
     run-log record splits its frame errors into ``undetected_frames``
-    (decoder converged onto wrong bits) and ``not_converged_frames``.
+    (decoder converged onto wrong bits) and ``not_converged_frames``, and
+    counts its frames by decoder sweeps in ``iterations_histogram``.
     """
     code = load_code(spec.code)
     cells = [
@@ -486,7 +488,8 @@ def ber_sweep(
     run = pool.map if pool is not None else map
     try:
         for cell in cells:
-            bit_err = frame_err = frames = iters = undetected = not_converged = 0
+            bit_err = frame_err = frames = undetected = not_converged = 0
+            sweeps: Counter[int] = Counter()
             stopped = False
             while frames < spec.frames_per_point and not stopped:
                 batch = min(_BATCH, spec.frames_per_point - frames)
@@ -495,7 +498,7 @@ def ber_sweep(
                 ):
                     bit_err += nerr
                     frame_err += nerr > 0
-                    iters += used
+                    sweeps[used] += 1
                     if converged:
                         undetected += nerr > 0
                     else:
@@ -533,7 +536,8 @@ def ber_sweep(
                         "undetected_frames": undetected,
                         "not_converged_frames": not_converged,
                         "ber": pt.ber,
-                        "mean_iterations": iters / frames,
+                        "mean_iterations": sum(k * v for k, v in sweeps.items()) / frames,
+                        "iterations_histogram": dict(sorted(sweeps.items())),
                         "undersampled": pt.undersampled,
                     },
                 )

@@ -7,6 +7,9 @@ coset. Check nodes absorb the target syndrome directly: a check whose
 syndrome bit is 1 flips the sign of its outgoing messages, which is
 algebraically identical to decoding the all-zero-syndrome problem on
 sign-translated inputs (the tests pin that equivalence down bit for bit).
+It runs a layered sum-product schedule (Hocevar, SiPS 2004) over layers of
+checks that share no variable; every code colours its checks into such
+layers once, when it is built.
 
 Codes load from alist text (MacKay layout, 1-indexed adjacency) or from two
 built-in presets:
@@ -15,10 +18,11 @@ built-in presets:
 * ``dvbs2-r12-64800``: a rate-1/2, n=64800 staircase (IRA) code with the
   broadcast-standard structural profile: q=90, 360-bit info groups, 36
   degree-8 and 54 degree-3 group rows, uniform check degree 7, accumulator
-  parity chain. The group address table is generated deterministically from
-  a fixed seed under 4-cycle-free and row-balance constraints, so the
-  preset is identical on every install; ``build_staircase_code`` accepts
-  any explicit address table with the same rule.
+  parity chain. The group address table was drawn once from a fixed seed
+  under 4-cycle-free and row-balance constraints and is stored as a
+  literal, so the preset is identical on every install;
+  ``build_staircase_code`` accepts any explicit address table with the
+  same rule.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
 # Message-domain clamps for the tanh/atanh sum-product update.
 _TANH_CLIP = 1.0 - 1e-12
 _MAG_FLOOR = 1e-300
+_SIGN_BIT = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -63,17 +68,21 @@ class LdpcCode:
     chk_var : ndarray, shape (E,)
         Variable index of each edge, grouped by check, strictly ascending
         inside each check, so no check names a variable twice.
+
+    The decoder's layers are derived once, when the code is built (see
+    ``_colour_checks``): ``layer_chk`` lists the checks layer by layer,
+    each layer in ascending check order, ``layer_ptr`` holds each layer's
+    offsets into it, and ``layer_var`` holds the edges' variables in that
+    check order, so each layer's edges are one contiguous slice.
     """
 
     n: int
     m: int
     chk_ptr: np.ndarray
     chk_var: np.ndarray
-    # Derived, filled in __post_init__: per-edge check index, and the
-    # variable-major view of the same edges for the decoder's second pass.
-    edge_chk: np.ndarray = field(init=False, repr=False)
-    var_ptr: np.ndarray = field(init=False, repr=False)
-    var_edge: np.ndarray = field(init=False, repr=False)
+    layer_chk: np.ndarray = field(init=False, repr=False)
+    layer_ptr: np.ndarray = field(init=False, repr=False)
+    layer_var: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         chk_ptr = np.asarray(self.chk_ptr, dtype=np.int64)
@@ -89,22 +98,82 @@ class LdpcCode:
             raise ValueError("every check must touch at least one variable")
         if chk_var.size and (chk_var.min() < 0 or chk_var.max() >= self.n):
             raise ValueError("variable index out of range")
-        col_deg = np.bincount(chk_var, minlength=self.n)
-        if col_deg.min() < 1:
+        if np.bincount(chk_var, minlength=self.n).min() < 1:
             raise ValueError("every variable must appear in at least one check")
-        edge_chk = np.repeat(np.arange(self.m, dtype=np.int64), degrees)
-        same_check = edge_chk[1:] == edge_chk[:-1]
+        same_check = np.ones(chk_var.size - 1, dtype=bool)
+        same_check[chk_ptr[1:-1] - 1] = False
         if np.any(np.diff(chk_var)[same_check] <= 0):
             raise ValueError("variable indices must strictly increase within each check")
-        var_edge = np.argsort(chk_var, kind="stable").astype(np.int64)
-        var_ptr = np.concatenate(([0], np.cumsum(col_deg))).astype(np.int64)
-        object.__setattr__(self, "edge_chk", edge_chk)
-        object.__setattr__(self, "var_ptr", var_ptr)
-        object.__setattr__(self, "var_edge", var_edge)
+        colour = _colour_checks(chk_ptr, chk_var, self.n)
+        layer_chk = np.argsort(colour, kind="stable")
+        layer_ptr = np.concatenate(([0], np.cumsum(np.bincount(colour))))
+        object.__setattr__(self, "layer_chk", layer_chk)
+        object.__setattr__(self, "layer_ptr", layer_ptr)
+        object.__setattr__(self, "layer_var", chk_var[_edges_of(chk_ptr, layer_chk)])
 
     @property
     def edge_count(self) -> int:
         return int(self.chk_var.size)
+
+
+def _edges_of(chk_ptr: np.ndarray, checks: np.ndarray) -> np.ndarray:
+    """Edge indices of ``checks``, check by check, in the given order."""
+    deg = chk_ptr[checks + 1] - chk_ptr[checks]
+    first = np.cumsum(deg) - deg
+    return np.repeat(chk_ptr[checks] - first, deg) + np.arange(int(deg.sum()))
+
+
+# Odd 64-bit multiplier (2^64 / golden ratio): c -> c * K mod 2^64 is a
+# bijection, so the check priorities are distinct and look random.
+_PRIORITY_HASH = np.uint64(0x9E3779B97F4A7C15)
+_FULL_WORD = np.uint64(2**64 - 1)
+
+
+def _colour_checks(chk_ptr: np.ndarray, chk_var: np.ndarray, n: int) -> np.ndarray:
+    """Colour the checks so that no two checks of one colour share a variable.
+
+    Jones-Plassmann with first fit (Jones and Plassmann, "A parallel graph
+    coloring heuristic", SIAM J. Sci. Comput. 14(3), 1993): a check is
+    coloured once it outranks, by a hash priority of its index, every
+    uncoloured check it shares a variable with, and it takes the smallest
+    colour that no coloured check sharing a variable holds. Each variable
+    keeps its checks in falling priority, a pointer to the first uncoloured
+    one, and a bitmask of the colours around it (64 colours per word,
+    words added as needed), so no list of check pairs is built. A check
+    whose variables all point at it is ready; the checks of a round are
+    ready at once, share no variable, and are coloured together.
+    """
+    m = chk_ptr.size - 1
+    deg = np.diff(chk_ptr)
+    edge_chk = np.repeat(np.arange(m), deg)
+    rank = np.empty(m, dtype=np.int64)  # 0 for the highest priority
+    rank[np.argsort(~(np.arange(m, dtype=np.uint64) * _PRIORITY_HASH))] = np.arange(m)
+    # Variable-major edges, each variable's checks in falling priority.
+    by_rank = edge_chk[np.argsort(chk_var * m + rank[edge_chk])]
+    var_end = np.cumsum(np.bincount(chk_var, minlength=n))
+    head = np.concatenate(([0], var_end[:-1]))
+    pointed = np.bincount(by_rank[head], minlength=m)  # variables pointing at each check
+    used = np.zeros((n, 1), dtype=np.uint64)
+    colour = np.empty(m, dtype=np.int64)
+    ready = np.flatnonzero(pointed == deg)
+    while ready.size:
+        d = deg[ready]
+        var = chk_var[_edges_of(chk_ptr, ready)]
+        taken = np.bitwise_or.reduceat(used[var], np.cumsum(d) - d, axis=0)
+        taken = np.concatenate((taken, np.zeros((ready.size, 1), dtype=np.uint64)), axis=1)
+        word = np.argmax(taken != _FULL_WORD, axis=1)
+        if word.max() == used.shape[1]:
+            used = np.concatenate((used, np.zeros((n, 1), dtype=np.uint64)), axis=1)
+        t = taken[np.arange(ready.size), word]
+        bit = ~t & (t + np.uint64(1))
+        colour[ready] = 64 * word + np.frexp(bit.astype(float))[1] - 1
+        used[var, np.repeat(word, d)] |= np.repeat(bit, d)
+        head[var] += 1
+        var = var[head[var] < var_end[var]]
+        nxt = by_rank[head[var]]
+        np.add.at(pointed, nxt, 1)
+        ready = np.unique(nxt[pointed[nxt] == deg[nxt]])
+    return colour
 
 
 @dataclass(frozen=True)
@@ -133,12 +202,18 @@ def syndrome(code: LdpcCode, bits) -> np.ndarray:
 def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcome:
     """Syndrome-aware sum-product decoding toward a target coset.
 
-    Flooding schedule: every check node updates, then every variable node;
-    the running hard decision is tested against the target syndrome before
-    the first sweep and after each one, stopping early on a match. Check
-    updates use the numerically safe tanh/atanh form with the product
-    magnitude clamped to 1 - 1e-12; a check whose target syndrome bit is 1
-    negates its outgoing messages.
+    Layered schedule (Hocevar, "A reduced complexity decoder architecture
+    via layered decoding of LDPC codes", IEEE SiPS 2004): one posterior log
+    ratio P per variable, and the checks taken one layer at a time, where
+    no two checks of a layer share a variable. For each layer, the
+    variable-to-check messages are P - c2v over its edges, the check
+    update gives new c2v, and P becomes v2c + c2v, so later layers of the
+    same sweep already see the update. The hard decision of P is tested
+    against the target syndrome before the first sweep and after each full
+    sweep over the layers, stopping early on a match. Check updates use the
+    numerically safe tanh/atanh form with the product magnitude clamped to
+    1 - 1e-12; a check whose target syndrome bit is 1 negates its outgoing
+    messages.
 
     Parameters
     ----------
@@ -170,34 +245,57 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     if np.array_equal(syndrome(code, bits), tgt):
         return DecodeOutcome(bits=bits, converged=True, iterations_used=0)
 
-    # The target syndrome bit of each check, folded into its sign parity.
-    syn = tgt.astype(bool)
-    v2c = lam[code.chk_var]
-    ptr = code.chk_ptr[:-1]
+    # Per layer: its edge slice, the variables of those edges, each check's
+    # first edge and degree within the slice, and the target syndrome bit
+    # of each check in the sign-bit position, folded into its sign parity.
+    deg = np.diff(code.chk_ptr)[code.layer_chk]
+    edge_ptr = np.concatenate(([0], np.cumsum(deg)))
+    syn = tgt.astype(np.uint64)[code.layer_chk] << np.uint64(63)
+    layers = []
+    for c0, c1 in zip(code.layer_ptr[:-1], code.layer_ptr[1:]):
+        e0, e1 = edge_ptr[c0], edge_ptr[c1]
+        layers.append((
+            slice(e0, e1), code.layer_var[e0:e1], edge_ptr[c0:c1] - e0, deg[c0:c1], syn[c0:c1],
+        ))
 
+    # Edge buffers, allocated once; a layer works on its slice of each.
+    post = lam.copy()
+    c2v = np.zeros(code.edge_count)
+    v2c = np.empty(code.edge_count)
+    sign = np.empty(code.edge_count, dtype=np.uint64)
     for it in range(1, max_iters + 1):
-        t = np.tanh(0.5 * v2c)
-        neg = t < 0
-        mag = np.abs(t)
-        np.maximum(mag, _MAG_FLOOR, out=mag)
-        np.minimum(mag, _TANH_CLIP, out=mag)
-        lmag = np.log(mag)
-        # Leave-one-out products per check, split into magnitude and sign.
-        sum_l = np.add.reduceat(lmag, ptr)
-        par = np.bitwise_xor.reduceat(neg, ptr)
-        par ^= syn
-        excl_l = sum_l[code.edge_chk] - lmag
-        excl_neg = par[code.edge_chk] ^ neg
-        prod = np.exp(excl_l)
-        np.minimum(prod, _TANH_CLIP, out=prod)
-        c2v = 2.0 * np.arctanh(prod)
-        np.negative(c2v, out=c2v, where=excl_neg)
+        for sl, var, first, d, s in layers:
+            # The layer's old c2v is read once, then its slice holds the
+            # check update as it is built.
+            x, t, sb = v2c[sl], c2v[sl], sign[sl]
+            tb = t.view(np.uint64)
+            np.take(post, var, out=x, mode="clip")  # unbuffered; var is in range
+            np.subtract(x, t, out=x)
+            np.multiply(x, 0.5, out=t)
+            np.tanh(t, out=t)
+            # Signs travel as IEEE sign bits: split them off here, so the
+            # leave-one-out sign of an edge is the XOR of its check's sign
+            # bits, its own and the check's syndrome bit.
+            np.bitwise_and(tb, _SIGN_BIT, out=sb)
+            np.bitwise_xor(tb, sb, out=tb)
+            np.maximum(t, _MAG_FLOOR, out=t)
+            np.minimum(t, _TANH_CLIP, out=t)
+            np.log(t, out=t)
+            # Leave-one-out products per check, split into magnitude and sign.
+            sum_l = np.add.reduceat(t, first)
+            par = np.bitwise_xor.reduceat(sb, first)
+            par ^= s
+            np.subtract(np.repeat(sum_l, d), t, out=t)
+            np.exp(t, out=t)
+            np.minimum(t, _TANH_CLIP, out=t)
+            np.arctanh(t, out=t)
+            t *= 2.0
+            np.bitwise_xor(sb, np.repeat(par, d), out=sb)
+            np.bitwise_xor(tb, sb, out=tb)
+            np.add(x, t, out=x)
+            post[var] = x
 
-        acc = np.add.reduceat(c2v[code.var_edge], code.var_ptr[:-1])
-        total = lam + acc
-        v2c = total[code.chk_var] - c2v
-
-        bits = (total < 0).astype(np.uint8)
+        bits = (post < 0).astype(np.uint8)
         if np.array_equal(syndrome(code, bits), tgt):
             return DecodeOutcome(bits=bits, converged=True, iterations_used=it)
 
@@ -280,7 +378,8 @@ def parse_alist(text: str) -> LdpcCode:
     code = LdpcCode(n=n, m=m, chk_ptr=chk_ptr, chk_var=chk_var)
     # Cross-check the two adjacency views against each other.
     from_cols = sorted((v + 1, c) for v, checks in enumerate(col_lists) for c in checks)
-    from_rows = sorted((v + 1, c + 1) for c, v in zip(code.edge_chk, code.chk_var))
+    edge_chk = np.repeat(np.arange(m), np.diff(code.chk_ptr))
+    from_rows = sorted((v + 1, c + 1) for c, v in zip(edge_chk, code.chk_var))
     if from_cols != from_rows:
         raise ValueError("alist: row and column adjacency lists disagree")
     return code
@@ -385,112 +484,81 @@ def build_staircase_code(group_addresses: list[list[int]], group: int = 360) -> 
     return LdpcCode(n=n, m=m, chk_ptr=chk_ptr, chk_var=edge_var)
 
 
-# Fixed literal seed: the preset must be identical on every machine.
-_R12_TABLE_SEED = 20240229
-_R12_Q = 90
+# The rate-1/2 group address table: 36 rows of 8 addresses, then 54 rows of
+# 3. It was drawn once by rejection sampling, row by row, from
+# numpy.random.default_rng(20240229), and is frozen here so that the preset
+# is the same on every install without paying for the sampler. Constraints
+# the draw enforced (the built code is checked against them in the tests):
+#
+# * exactly 5 addresses per residue class mod q = 90 (uniform check degree 7
+#   once the accumulator adds 2);
+# * no two addresses of a group differ by +-1 mod m (such a column would
+#   straddle an accumulator pair: a 4-cycle through a parity bit);
+# * within a group, same-residue address pairs have distinct, non-opposite
+#   circulant shift differences, none equal to 0 or 180 (4-cycles inside one
+#   block column);
+# * across groups, shared-residue shift differences are unique per group
+#   pair (4-cycles between block columns).
 _R12_GROUP = 360
-_R12_DEGREES = (8,) * 36 + (3,) * 54
-
-
-def _r12_table_rows(seed: int = _R12_TABLE_SEED) -> list[list[int]]:
-    """Deterministic rate-1/2 group address table under girth constraints.
-
-    Constraints enforced during rejection sampling:
-
-    * exactly 5 addresses per residue class mod q (uniform check degree 7
-      once the accumulator adds 2);
-    * no two addresses of a group differing by +-1 mod m (such a column
-      would straddle an accumulator pair: a 4-cycle through a parity bit);
-    * within a group, same-residue address pairs must have distinct,
-      non-opposite circulant shift differences, none equal to 0 or 180
-      (4-cycles inside one block column);
-    * across groups, shared-residue shift differences must be unique per
-      group pair (4-cycles between block columns).
-    """
-    rng = np.random.default_rng(seed)
-    m = _R12_Q * _R12_GROUP
-    for _restart in range(200):
-        per_residue = np.full(_R12_Q, 5, dtype=np.int64)
-        rows: list[list[int]] = []
-        by_residue: dict[int, list[tuple[int, int]]] = {v: [] for v in range(_R12_Q)}
-        cross: dict[tuple[int, int], set[int]] = {}
-        ok = True
-        for g, deg in enumerate(_R12_DEGREES):
-            placed = None
-            for _attempt in range(4000):
-                open_res = np.flatnonzero(per_residue > 0)
-                if open_res.size == 0:
-                    break
-                cand = []
-                used = set()
-                for _ in range(deg):
-                    weights = per_residue[open_res].astype(float)
-                    weights /= weights.sum()
-                    v = int(rng.choice(open_res, p=weights))
-                    u = int(rng.integers(0, _R12_GROUP))
-                    a = v + _R12_Q * u
-                    cand.append(a)
-                    used.add(a)
-                if len(used) != deg:
-                    continue
-                if not _group_is_clean(cand, m):
-                    continue
-                diffs_new: dict[tuple[int, int], set[int]] = {}
-                clash = False
-                for a in cand:
-                    v, u = a % _R12_Q, a // _R12_Q
-                    for h, uh in by_residue[v]:
-                        d = (u - uh) % _R12_GROUP
-                        key = (h, g)
-                        seen = cross.get(key, set()) | diffs_new.setdefault(key, set())
-                        if d in seen:
-                            clash = True
-                            break
-                        diffs_new[key].add(d)
-                    if clash:
-                        break
-                if clash:
-                    continue
-                placed = cand
-                for key, ds in diffs_new.items():
-                    cross.setdefault(key, set()).update(ds)
-                for a in cand:
-                    v, u = a % _R12_Q, a // _R12_Q
-                    by_residue[v].append((g, u))
-                    per_residue[v] -= 1
-                break
-            if placed is None:
-                ok = False
-                break
-            rows.append(sorted(placed))
-        if ok and per_residue.max() == 0:
-            return rows
-    raise RuntimeError("rate-1/2 table generation failed to satisfy constraints")
-
-
-def _group_is_clean(addresses: list[int], m: int) -> bool:
-    """Within-group girth constraints; see _r12_table_rows."""
-    arr = sorted(addresses)
-    canon = set()
-    for idx, a in enumerate(arr):
-        for b in arr[idx + 1 :]:
-            d = (a - b) % m
-            if d in (1, m - 1):
-                return False
-            if a % _R12_Q == b % _R12_Q:
-                du = ((a - b) // _R12_Q) % _R12_GROUP
-                c = min(du, _R12_GROUP - du)
-                if c in (0, 180) or c in canon:
-                    return False
-                canon.add(c)
-    return True
+_R12_TABLE = [
+    [5234, 9358, 12780, 13833, 20183, 22208, 24142, 25596],
+    [850, 7113, 15576, 19696, 23068, 23733, 26146, 27812],
+    [4069, 5632, 7134, 10303, 20461, 22751, 24913, 25030],
+    [1407, 6490, 12655, 16082, 21870, 22204, 23337, 29432],
+    [7406, 9414, 11333, 11724, 13129, 14483, 18275, 19780],
+    [859, 1178, 19208, 21982, 24344, 31251, 31975, 32055],
+    [117, 2781, 7436, 9537, 10414, 11010, 12637, 26084],
+    [4995, 10924, 12663, 13324, 15786, 16119, 22168, 29159],
+    [533, 676, 3669, 3828, 23059, 23588, 24020, 24200],
+    [11794, 13884, 22532, 24998, 25854, 26608, 27097, 29640],
+    [5326, 5723, 6908, 17161, 19443, 23012, 27072, 28861],
+    [5956, 12268, 14325, 14699, 15213, 26409, 26454, 30949],
+    [246, 6288, 7490, 8831, 10782, 11168, 19195, 19529],
+    [6875, 7076, 10082, 12371, 14799, 24791, 26178, 27206],
+    [9174, 11477, 12054, 21664, 26181, 28207, 29842, 31062],
+    [1731, 2676, 3247, 4311, 4951, 14695, 18480, 21455],
+    [16085, 18642, 20239, 20626, 22788, 24459, 30451, 32197],
+    [0, 4644, 5333, 6084, 21492, 29152, 31536, 32281],
+    [8178, 10526, 18646, 22613, 24702, 29467, 30576, 31940],
+    [533, 4479, 8723, 9980, 11900, 18449, 28725, 30141],
+    [2310, 4929, 6236, 14156, 15043, 18705, 24360, 29949],
+    [3204, 10571, 11742, 12430, 13451, 18896, 24477, 25303],
+    [6202, 12771, 14598, 18021, 25906, 26153, 28049, 30208],
+    [7152, 13472, 17015, 18997, 19422, 20944, 23613, 29055],
+    [977, 4188, 14327, 24627, 24737, 27596, 27929, 29300],
+    [4242, 8354, 23401, 24205, 27105, 29635, 29930, 31703],
+    [3925, 18538, 24545, 25981, 27200, 27344, 27557, 30464],
+    [7925, 11225, 16656, 17893, 25737, 29258, 31538, 32172],
+    [225, 5180, 7608, 13727, 18635, 20744, 23415, 26871],
+    [464, 6177, 7720, 17638, 19000, 21374, 23050, 27395],
+    [1056, 6499, 8836, 10961, 19447, 21868, 21982, 31272],
+    [6048, 7031, 10281, 14749, 15382, 16214, 16910, 20841],
+    [242, 7245, 10022, 11115, 13828, 16699, 23566, 32299],
+    [3132, 4285, 4307, 6873, 16942, 18919, 25466, 31273],
+    [2310, 2837, 14074, 19827, 22845, 25334, 29889, 30209],
+    [1709, 5819, 6918, 15343, 19153, 21451, 22899, 31770],
+    [17775, 27213, 29394], [11031, 14639, 22727], [9660, 13377, 30730], [3347, 11023, 12928],
+    [13321, 17009, 19348], [5536, 16399, 32360], [8222, 11606, 15835], [21041, 25675, 28712],
+    [297, 2751, 17739], [12383, 15663, 18516], [6042, 19719, 28930], [4000, 5467, 13927],
+    [15042, 18068, 21583], [14528, 22970, 24097], [700, 7310, 20001], [3935, 4916, 28957],
+    [14901, 15844, 29552], [4861, 17170, 29431], [27403, 28380, 31642], [24423, 25102, 31395],
+    [34, 10072, 24623], [17149, 29396, 31234], [12106, 21988, 24265], [9009, 9758, 12496],
+    [20077, 21829, 22088], [6385, 10084, 21713], [3797, 10129, 29855], [9332, 11731, 20444],
+    [4546, 4629, 5591], [10112, 15633, 32234], [1813, 11459, 15548], [1806, 29906, 30633],
+    [11065, 14697, 15747], [7338, 11549, 21277], [15313, 21326, 25780], [307, 6089, 27485],
+    [1335, 8602, 19345], [10331, 14586, 32323], [7776, 13061, 13271], [2570, 20400, 28921],
+    [6994, 7128, 15990], [16478, 25904, 30347], [4506, 4846, 19847], [20680, 23008, 31398],
+    [1800, 11072, 23688], [6774, 26494, 29843], [12483, 20424, 22224], [12947, 17585, 25903],
+    [11324, 11671, 25165], [19019, 27034, 28541], [13415, 17758, 21317], [5422, 14256, 16428],
+    [13391, 27003, 30022], [23997, 27897, 30549],
+]
 
 
 def dvbs2_r12() -> LdpcCode:
     """The bundled rate-1/2, n=64800 staircase code (see module docstring).
 
     Builds a fresh code on every call; ``load_code`` keeps the built one."""
-    return build_staircase_code(_r12_table_rows(), group=_R12_GROUP)
+    return build_staircase_code(_R12_TABLE, group=_R12_GROUP)
 
 
 PRESETS = {

@@ -320,13 +320,14 @@ class TestBerSweep:
 
 class TestCrossCommitPin:
     """Exact harness output for fixed seeds, recorded before the frame
-    pipeline was folded into one function; any change to the per-frame draw
-    order, soft inputs or seeding shows up here. hamming74 has n=7 at 2
-    bits/symbol, so the last symbol's second bit is cut off every frame."""
+    pipeline was folded into one function, and again for the layered
+    decoder; any change to the per-frame draw order, soft inputs, seeding
+    or decoder shows up here. hamming74 has n=7 at 2 bits/symbol, so the
+    last symbol's second bit is cut off every frame."""
 
     BER_POINTS = [
         (1.0, "direct", "", 1.0, 8, 11, 4, 0.19642857142857142, 0.11338595674323658, 0.31844607626458404, 0.5, True),
-        (1.0, "hard", "", 1.0, 8, 16, 7, 0.2857142857142857, 0.18418775143858906, 0.4147525071551667, 0.875, True),
+        (1.0, "hard", "", 1.0, 8, 15, 7, 0.26785714285714285, 0.16957305418501728, 0.39594555929155156, 0.875, True),
         (1.0, "rrs", "base", 0.8, 8, 14, 6, 0.25, 0.15517054688270684, 0.376926421476675, 0.75, True),
         (1.0, "rrs", "alternating", 0.8, 8, 2, 1, 0.03571428571428571, 0.00984942514823639, 0.12118780180490107, 0.125, True),
         (4.0, "direct", "", 1.0, 8, 5, 2, 0.08928571428571429, 0.03874214844958693, 0.19256001385511162, 0.25, True),
@@ -358,7 +359,7 @@ class TestCrossCommitPin:
         assert res.transcript.syndrome.tolist() == [1, 1, 0]
         assert res.bob_bits.tolist() == [0, 1, 1, 1, 0, 1, 0]
         assert res.alice_bits.tolist() == [1, 1, 1, 0, 1, 1, 0]
-        assert (res.outcome.converged, res.outcome.iterations_used) == (True, 2)
+        assert (res.outcome.converged, res.outcome.iterations_used) == (True, 1)
 
 
 class TestRunLogOutcomes:
@@ -379,9 +380,37 @@ class TestRunLogOutcomes:
         for r in rows:
             assert r["frame_errors"] == r["undetected_frames"] + r["not_converged_frames"]
         assert [(r["undetected_frames"], r["not_converged_frames"]) for r in rows] == [
-            (1, 3), (3, 4), (2, 4), (0, 1),
+            (1, 3), (2, 5), (2, 4), (0, 1),
             (1, 1), (0, 0), (0, 0), (1, 0),
         ]
+
+    def test_iterations_histogram(self, tmp_path):
+        # frames counted by decoder sweeps, next to their mean; the run log
+        # stays byte-identical for any worker count
+        logs = []
+        for workers in (1, 2):
+            spec = tiny_spec(
+                snr_grid_db=(1.0, 4.0),
+                schemes=SCHEMES,
+                configs=("base", "alternating"),
+                frames_per_point=8,
+                alpha=0.8,
+                master_seed=2024,
+                workers=workers,
+            )
+            log = tmp_path / f"run_log_{workers}.jsonl"
+            ber_sweep(spec, log_path=log)
+            logs.append(log.read_bytes())
+        assert logs[0] == logs[1]
+        rows = [json.loads(line) for line in logs[0].decode().splitlines()]
+        for r in rows:
+            hist = {int(k): v for k, v in r["iterations_histogram"].items()}
+            assert list(hist) == sorted(hist)
+            assert all(v > 0 for v in hist.values())
+            assert sum(hist.values()) == r["frames"]
+            assert sum(k * v for k, v in hist.items()) / r["frames"] == r["mean_iterations"]
+            # every unconverged frame ran the full sweep limit
+            assert hist.get(spec.max_iters, 0) >= r["not_converged_frames"]
 
 
 class TestCsvWriters:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_decoder
+from softrec import harness
+from softrec.constellation import pam
 from softrec.ldpc import (
     PRESETS,
     LdpcCode,
@@ -23,8 +28,8 @@ from softrec.ldpc import (
 def degree_histograms(code: LdpcCode) -> tuple[dict, dict]:
     """{degree: count} over the checks and over the variables."""
     return tuple(
-        dict(zip(*(v.tolist() for v in np.unique(np.diff(ptr), return_counts=True))))
-        for ptr in (code.chk_ptr, code.var_ptr)
+        dict(zip(*(v.tolist() for v in np.unique(deg, return_counts=True))))
+        for deg in (np.diff(code.chk_ptr), np.bincount(code.chk_var, minlength=code.n))
     )
 
 
@@ -257,6 +262,121 @@ class TestDecode:
             decode(code, np.zeros(7), np.zeros(3, dtype=np.uint8), max_iters=0)
 
 
+@st.composite
+def random_codes(draw):
+    """Small random codes: every variable in 1-3 checks, no empty check."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=20))
+    cols = [
+        draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=min(3, m)))
+        for _ in range(n)
+    ]
+    rows = [sorted(v for v in range(n) if c in cols[v]) for c in range(m)]
+    for row in rows:
+        if not row:  # give an empty check a variable
+            row.append(draw(st.integers(0, n - 1)))
+    return LdpcCode(
+        n=n, m=m, chk_ptr=np.cumsum([0] + [len(r) for r in rows]),
+        chk_var=np.array([v for r in rows for v in r], dtype=np.int64),
+    )
+
+
+def check_layers(code: LdpcCode) -> None:
+    """The layers partition the checks, and no layer repeats a variable."""
+    assert code.layer_ptr[0] == 0 and code.layer_ptr[-1] == code.m
+    assert np.all(np.diff(code.layer_ptr) >= 1)
+    assert sorted(code.layer_chk.tolist()) == list(range(code.m))
+    deg = np.diff(code.chk_ptr)[code.layer_chk]
+    edge_ptr = np.concatenate(([0], np.cumsum(deg)))
+    expect = np.concatenate(
+        [code.chk_var[code.chk_ptr[c] : code.chk_ptr[c + 1]] for c in code.layer_chk]
+    )
+    np.testing.assert_array_equal(code.layer_var, expect)
+    for c0, c1 in zip(code.layer_ptr[:-1], code.layer_ptr[1:]):
+        var = code.layer_var[edge_ptr[c0] : edge_ptr[c1]]
+        assert np.unique(var).size == var.size
+
+
+class TestLayers:
+    def test_hamming74(self):
+        # every check holds variable 7, so each layer is one check
+        code = hamming74()
+        check_layers(code)
+        assert np.diff(code.layer_ptr).tolist() == [1, 1, 1]
+
+    def test_preset(self):
+        code = load_code("dvbs2-r12-64800")
+        check_layers(code)
+        assert code.layer_ptr.size - 1 == 17
+
+    @given(random_codes())
+    @settings(max_examples=60, deadline=None)
+    def test_random_codes(self, code):
+        check_layers(code)
+        rebuilt = LdpcCode(n=code.n, m=code.m, chk_ptr=code.chk_ptr, chk_var=code.chk_var)
+        np.testing.assert_array_equal(rebuilt.layer_chk, code.layer_chk)
+        np.testing.assert_array_equal(rebuilt.layer_ptr, code.layer_ptr)
+
+    def test_identical_across_rebuilds(self):
+        a, b = dvbs2_r12(), dvbs2_r12()
+        for name in ("layer_chk", "layer_ptr", "layer_var"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_more_than_64_colours(self):
+        # one variable in 70 checks: every check shares it, so 70 layers,
+        # which takes a second word of the colour bitmask
+        m = 70
+        code = LdpcCode(
+            n=m + 1, m=m, chk_ptr=np.arange(0, 2 * m + 1, 2),
+            chk_var=np.column_stack((np.zeros(m, dtype=np.int64), np.arange(1, m + 1))).ravel(),
+        )
+        check_layers(code)
+        assert code.layer_ptr.size - 1 == m
+
+
+class TestFloodingOracle:
+    """The layered decoder against the flooding one it replaced."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        # the benchmark's pinned rrs frames (PAM-4, alternating, 3.5 dB),
+        # each decoded once by either decoder inside the harness
+        runs = {}
+        real = harness.decode
+        try:
+            for name, dec in (("layered", decode), ("flooding", reference_decoder.decode)):
+                for seed in (101, 102):
+                    outcomes = []
+
+                    def capture(code, lapprs, target, max_iters=100, dec=dec, outcomes=outcomes):
+                        out = dec(code, lapprs, target, max_iters=max_iters)
+                        outcomes.append((out, np.array(target)))
+                        return out
+
+                    harness.decode = capture
+                    (point,) = harness.ber_sweep(harness.ExperimentSpec(
+                        constellation=pam(4), snr_grid_db=(3.5,), schemes=("rrs",),
+                        configs=("alternating",), code="dvbs2-r12-64800", frames_per_point=1,
+                        master_seed=seed,
+                    ))
+                    runs[name, seed] = (point, *outcomes)
+        finally:
+            harness.decode = real
+        return runs
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_pinned_frames(self, frames, seed):
+        code = load_code("dvbs2-r12-64800")
+        sweeps = {}
+        for name in ("layered", "flooding"):
+            point, (out, target) = frames[name, seed]
+            assert out.converged
+            np.testing.assert_array_equal(syndrome(code, out.bits), target)
+            assert (point.frames, point.bit_errors, point.frame_errors) == (1, 0, 0)
+            sweeps[name] = out.iterations_used
+        assert sweeps["layered"] <= sweeps["flooding"]
+
+
 class TestStaircase:
     def test_small_structure_by_hand(self):
         # group = 4, addresses [[0, 5], [2, 7]]: q = ceil(8/4) = 2, m = 8;
@@ -301,11 +421,18 @@ class TestDvbs2Profile:
         )
 
     def test_generator_is_deterministic(self):
-        # two independent builds, not one cached object
+        # two independent builds, not one cached object, both equal to the
+        # code the seeded sampler built before its table was frozen
         a, b = dvbs2_r12(), dvbs2_r12()
         assert a is not b
         np.testing.assert_array_equal(a.chk_ptr, b.chk_ptr)
         np.testing.assert_array_equal(a.chk_var, b.chk_var)
+        assert hashlib.sha256(a.chk_ptr.tobytes()).hexdigest() == (
+            "953f936d8500711d307c39da7dde995ff57e0640519d2e36ef53469538c4ebf9"
+        )
+        assert hashlib.sha256(a.chk_var.tobytes()).hexdigest() == (
+            "3e4132f7d15013dceeaa34615ccb88ffe61c6494ede7ba450693bceea435569d"
+        )
 
     def test_first_group_addresses_frozen(self):
         # regression pin on the seeded construction: information column 0

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ndtr, ndtri
 
 from softrec.constellation import Constellation
@@ -40,6 +39,8 @@ QUANTILE_TOL = 1e-12
 _MAX_NEWTON = 200
 # Grid points of the quantile solve's start.
 _GRID = 256
+# Points per block of the start's curve evaluation.
+_BLOCK = 8192
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -203,6 +204,54 @@ def output_sf(y, ch: ChannelModel):
     return _shaped(arr, _cdf(arr, ch, -1.0))
 
 
+# The cubic Hermite curve of the quantile start and of harness.snr_at_mi,
+# with the bits of scipy's CubicHermiteSpline (extrapolating): coefficients
+# as its __init__ computes them, and PPoly's power sum on PPoly's interval.
+
+
+def _hermite(x, y, dydx) -> np.ndarray:
+    """(4, n - 1) power-form coefficients of the cubic Hermite curve through
+    (x_k, y_k) with slopes dydx_k, for strictly increasing x and n >= 2. On
+    interval i, row k multiplies (u - x_i)^(3 - k)."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def _hermite_interval(x, u, i):
+    """Move each guess i (changed in place) to the interval PPoly evaluates
+    u on: x_i <= u < x_{i+1}, clipped to [0, n - 2], which is
+    searchsorted(x, u, "right") - 1. Each pass moves the points still off by
+    one interval, and only those."""
+    top = x.size - 2
+    rows = np.flatnonzero(u >= np.take(x[1:], i))
+    while rows.size:
+        rows = rows[i[rows] < top]
+        i[rows] += 1
+        rows = rows[u[rows] >= x[1:][i[rows]]]
+    rows = np.flatnonzero(u < np.take(x, i))
+    while rows.size:
+        rows = rows[i[rows] > 0]
+        i[rows] -= 1
+        rows = rows[u[rows] < x[i[rows]]]
+    return i
+
+
+def _hermite_eval(coef, x, u, i=None) -> np.ndarray:
+    """The curve of ``_hermite(x, ...)`` at the points u, on their intervals
+    i (by default searchsorted's, see ``_hermite_interval``); past either
+    end the end cubic extrapolates. The sum is PPoly's, in its order:
+    ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s and
+    s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's does."""
+    if i is None:
+        i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
+    c = np.take(coef, i, axis=1)
+    s = u - np.take(x, i)
+    s2 = s * s
+    return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
+
+
 def output_quantile(p, ch: ChannelModel):
     """Invert the output CDF: find y with F_Y(y) = p.
 
@@ -214,9 +263,12 @@ def output_quantile(p, ch: ChannelModel):
       max a + 8 sigma]. Each gets its normal score u_k = Phi^{-1}(F_Y(y_k))
       on the lower half and -Phi^{-1}(P(Y > y_k)) on the upper half. A cubic
       Hermite curve interpolates y(u) with the exact slope phi(u) / f_Y(y),
-      and a point starts at y(u) for its own normal score.
+      and a point starts at y(u) for its own normal score. The curve
+      (``_hermite``) returns the bits of scipy's CubicHermiteSpline, and it
+      is evaluated in blocks of ``_BLOCK`` points.
     - Bracket. The grid cell around a point, found by comparing its tail
-      mass with the grid's, is its bracket.
+      mass with the grid's, is its bracket. It also names the point's
+      curve interval, so the start needs no second search.
     - Far tail. A point past the grid starts from the dominant edge
       component alone, y = a_min + sigma Phi^{-1}(p / P(a_min)), mirrored in
       the upper tail. Its lower bracket edge grows by doubling steps, tested
@@ -295,8 +347,23 @@ def output_quantile(p, ch: ChannelModel):
         slope = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_output_density(grid, ch))
     rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
     usable = rising & np.isfinite(u) & np.isfinite(slope)
-    curve = CubicHermiteSpline(u[usable], grid[usable], slope[usable])
-    y = curve(sgn * ndtri(target))
+    # A point's bracket cell names its curve interval: the last knot at or
+    # below grid[c - 1], which _hermite_interval moves to the exact one if
+    # the two tails' scores round across a knot. The start runs in blocks,
+    # so its temporaries are small and come back from the heap instead of
+    # faulting in fresh pages. Where the density underflows between points
+    # at small sigma, slopes near 1e300 can overflow a segment's
+    # coefficients; its points start at NaN and are mended after the clip.
+    knots = u[usable]
+    first = np.concatenate(([0], np.cumsum(usable) - 1))
+    np.clip(first, 0, knots.size - 2, out=first)
+    y = np.empty_like(pv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = _hermite(knots, grid[usable], slope[usable])
+        for a in range(0, pv.size, _BLOCK):
+            b = slice(a, a + _BLOCK)
+            v = sgn[b] * ndtri(target[b])
+            y[b] = _hermite_eval(coef, knots, v, _hermite_interval(knots, v, first[c[b]]))
 
     # Past the grid, the edge point's own Gaussian tail holds nearly all the
     # mass: y = a_edge + sgn * sigma * Phi^{-1}(target / P_edge), where the
@@ -320,6 +387,10 @@ def output_quantile(p, ch: ChannelModel):
         lo[grow] = edge
         span *= 2.0
     y = np.clip(y, lo, hi)
+    # A NaN start would become a bracket edge on the first pass; start such a
+    # point at its bracket's middle instead.
+    nan = np.isnan(y)
+    y[nan] = 0.5 * (lo[nan] + hi[nan])
 
     # Active set: idx holds the unsolved points, and the working arrays hold
     # only their rows. Rebinding the names lets the full-size arrays go.

@@ -37,9 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .channel import ChannelModel, transmit
+from .channel import ChannelModel, _hermite, _hermite_eval, transmit
 from .constellation import (
     Constellation,
     bit_partitions,
@@ -384,11 +383,42 @@ def mi_sweep(spec: ExperimentSpec, out_dir: str | Path | None = None, mi_targets
     return results
 
 
+def _pchip_slopes(x, y) -> np.ndarray:
+    """Fritsch-Carlson slopes of the monotone cubic through (x_k, y_k)
+    ("Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 17(2),
+    1980), with the bits of scipy's PchipInterpolator: the weighted harmonic
+    mean of the two secants inside, 0 where they differ in sign or one is
+    flat; the one-sided three-point estimate at the ends, kept to the end
+    secant's sign and to 3 times its size where the secants change sign; the
+    secant itself for two points."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        return np.array([m[0], m[0]])
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        inner = np.where(flat, 0.0, 1.0 / whmean)
+
+    def end(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    return np.concatenate(([end(h[0], h[1], m[0], m[1])], inner, [end(h[-1], h[-2], m[-1], m[-2])]))
+
+
 def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
     """Invert MI curves: the SNR at which each curve reaches each target.
 
-    Uses monotone cubic (PCHIP) interpolation of SNR as a function of MI
-    per (scheme, config) curve; cells outside the computed MI range are
+    Uses monotone cubic (PCHIP, Fritsch & Carlson, SIAM J. Numer. Anal.
+    17(2), 1980) interpolation of SNR as a function of MI per
+    (scheme, config) curve; cells outside the computed MI range are
     flagged ``out-of-range`` with an empty SNR, curves with fewer than two
     usable points flag ``insufficient-grid``.
     """
@@ -405,21 +435,20 @@ def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
         pts = sorted(curves[key], key=lambda r: r.snr_db)
         mi = np.array([p.value_bits for p in pts])
         snr = np.array([p.snr_db for p in pts])
-        # MI is strictly increasing in SNR; drop any numerically flat tail
-        # so the interpolant stays invertible.
-        keep = np.concatenate(([True], np.diff(mi) > 0))
+        # MI is strictly increasing in SNR; keep a point only if it lies
+        # above every lower-SNR point, which drops a numerically flat tail.
+        keep = mi > np.maximum.accumulate(np.concatenate(([-np.inf], mi[:-1])))
         mi, snr = mi[keep], snr[keep]
-        interp = PchipInterpolator(mi, snr, extrapolate=False) if mi.size >= 2 else None
+        coef = _hermite(mi, snr, _pchip_slopes(mi, snr)) if mi.size >= 2 else None
         for tgt in mi_targets:
             row = {"mi_bits": float(tgt), "scheme": key[0], "config": key[1]}
-            if interp is None:
+            if coef is None:
                 row.update(snr_db=None, status="insufficient-grid")
+            elif not mi[0] <= tgt <= mi[-1]:
+                row.update(snr_db=None, status="out-of-range")
             else:
-                v = float(interp(tgt)) if mi[0] <= tgt <= mi[-1] else float("nan")
-                if np.isnan(v):
-                    row.update(snr_db=None, status="out-of-range")
-                else:
-                    row.update(snr_db=v, status="ok")
+                v = _hermite_eval(coef, mi, np.array([tgt], dtype=float))[0]
+                row.update(snr_db=float(v), status="ok")
             rows.append(row)
     return rows
 

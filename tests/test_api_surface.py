@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,24 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(getattr(importlib.import_module(f"softrec.{module}"), "__all__", ()))
     assert sorted(imported - used - exported) == []
+
+
+@pytest.mark.parametrize(
+    "statement, absent",
+    [
+        ("import softrec", ("scipy.interpolate", "scipy.stats")),
+        ("import softrec.cli", ("scipy.stats",)),
+    ],
+)
+def test_import_leaves_heavy_scipy_out(statement, absent):
+    # scipy.interpolate (with scipy.linalg, scipy.optimize and scipy.sparse)
+    # and scipy.stats dominate a cold start; only the audit's KS test imports
+    # scipy.stats, when it first runs
+    src = str(Path(softrec.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert sorted(set(absent) & set(out.stdout.split())) == []

@@ -4,8 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -280,6 +281,26 @@ class TestQuantileSolver:
         assert softrec.QuantileWarning is QuantileWarning
         assert issubclass(QuantileWarning, RuntimeWarning)
 
+    @pytest.mark.parametrize(
+        "log_var, p",
+        [
+            (-6.577534003824496, [0.1, 0.2, 0.25]),
+            (-6.470124472481013, [0.5, 0.6, 0.7]),
+            (-6.347637230854115, [1.0 - 1e-16]),
+        ],
+    )
+    def test_overflowing_start_segment(self, pam4, log_var, p):
+        # At these sigma^2 the density underflows between the points, and a
+        # segment of the start curve overflows. Its points started at NaN,
+        # which became a bracket edge, and came back NaN with a
+        # QuantileWarning.
+        ch = ChannelModel(pam4, 10.0**log_var)
+        p = np.array(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = output_quantile(p, ch)
+        assert _meets_contract(y, p, ch).all()
+
     def test_frame_solve_does_not_warn(self, pam4):
         # One 32,400-symbol frame at 3.5 dB: lappr_batch solves 129,600 points.
         ch = ChannelModel(pam4, VAR_3_5_DB)
@@ -325,6 +346,101 @@ class TestQuantileOracle:
     def test_channels(self, p, ch):
         reference = _meets_contract(reference_solver.output_quantile(p, ch), p, ch)
         assert np.all(_meets_contract(output_quantile(p, ch), p, ch)[reference])
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _searchsorted_interval(x, u):
+    """The interval PPoly evaluates u on."""
+    return np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
+
+
+@st.composite
+def _hermite_data(draw):
+    """Strictly increasing knots with values and slopes, and points inside,
+    at the knots and beyond both ends."""
+    n = draw(st.integers(2, 12))
+    x0 = draw(st.floats(-50.0, 50.0))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(x) > 0))
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    dydx = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=20))
+    beyond = draw(st.lists(st.floats(1e-9, 100.0), max_size=6))
+    u = np.concatenate((inside, x, x[0] - np.array(beyond), x[-1] + np.array(beyond)))
+    return x, y, dydx, u
+
+
+class TestHermite:
+    """The numpy cubic Hermite helper returns scipy's bits."""
+
+    @given(_hermite_data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cubic_hermite_spline(self, data):
+        x, y, dydx, u = data
+        spline = CubicHermiteSpline(x, y, dydx)
+        coef = channel._hermite(x, y, dydx)
+        assert np.array_equal(_bits(coef), _bits(spline.c))
+        assert np.array_equal(_bits(channel._hermite_eval(coef, x, u)), _bits(spline(u)))
+
+    def test_signed_zero(self):
+        # At a knot whose value is -0.0, with c0, c1 and c2 all negative,
+        # every term is -0.0; PPoly's sum starts at +0.0, so it returns +0.0
+        x, y, dydx = np.array([0.0, 1.0]), np.array([-0.0, -2.0]), np.array([-1.0, -3.5])
+        u = np.array([0.0])
+        coef = channel._hermite(x, y, dydx)
+        assert (coef[:3, 0] < 0).all()
+        got = channel._hermite_eval(coef, x, u)
+        assert np.array_equal(_bits(got), _bits(CubicHermiteSpline(x, y, dydx)(u)))
+        assert _bits(got)[0] == 0
+
+    @given(_hermite_data(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_from_any_guess(self, data, draw):
+        x, _, _, u = data
+        guesses = st.lists(st.integers(0, x.size - 2), min_size=u.size, max_size=u.size)
+        guess = np.array(draw.draw(guesses), dtype=np.intp)
+        got = channel._hermite_interval(x, u, guess)
+        assert np.array_equal(got, _searchsorted_interval(x, u))
+
+    @pytest.mark.parametrize("snr", [-10.0, 3.5, 25.0])
+    def test_frame_interval_from_bracket(self, pam4, snr):
+        # On a frame the bracket cell already names every point's interval,
+        # so the walk moves none of them.
+        ch = ChannelModel(pam4, noise_variance_for_snr_db(snr, pam4))
+        blocks = -(-129600 // channel._BLOCK)
+        assert _start_intervals(_frame_probabilities(ch), ch) == [(True, True)] * blocks
+
+    @given(_probabilities(-300.0, -16.0), _CHANNELS)
+    @settings(max_examples=60, deadline=None)
+    def test_interval_from_bracket_on_channels(self, p, ch):
+        [(_, walked)] = _start_intervals(p, ch)
+        assert walked
+
+
+def _start_intervals(p, ch):
+    """Solve, and for each block of the start say whether the interval
+    guessed from the bracket cell, and the interval after the walk, are the
+    ones a binary search over the knots finds."""
+    checked = []
+    walk = channel._hermite_interval
+
+    def spy(x, u, i):
+        want = _searchsorted_interval(x, u)
+        guessed = np.array_equal(i, want)
+        got = walk(x, u, i)
+        checked.append((guessed, np.array_equal(got, want)))
+        return got
+
+    channel._hermite_interval = spy
+    try:
+        output_quantile(p, ch)
+    finally:
+        channel._hermite_interval = walk
+    return checked
 
 
 def _pam_with_priors(order):

@@ -337,7 +337,7 @@ class TestCodegenCommand:
 
 
 class TestAuditCommand:
-    def test_small_clean_audit_passes(self, tmp_path):
+    def test_small_clean_audit_passes(self, tmp_path, capsys):
         rc = run(
             [
                 "audit",
@@ -354,6 +354,15 @@ class TestAuditCommand:
             ]
         )
         assert rc == 0
+        # stdout gives the analytic check's outcome, not the rounding noise
+        # of a zero integral; the run log keeps the value
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("audit snr=+0.00 config=alternating: analytic=ok mc=")
+        assert line.endswith(" ok")
+        records = [json.loads(r) for r in (tmp_path / "run_log.jsonl").read_text().splitlines()]
+        cell = records[-1]
+        assert cell["event"] == "audit-cell"
+        assert abs(cell["analytic_bits"]) <= cli.ANALYTIC_LEAKAGE_MAX
 
     def test_negative_control_is_caught(self, tmp_path, monkeypatch, capsys):
         # inject a transform built for the wrong noise level; the disclosed

@@ -5,11 +5,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
-from softrec.channel import ChannelModel
+from softrec.channel import ChannelModel, _hermite, _hermite_eval
 from softrec.constellation import Constellation, pam
 from softrec.harness import (
     MI_TARGETS,
+    _pchip_slopes,
     SCHEMES,
     ExperimentSpec,
     ProtocolResult,
@@ -262,12 +266,76 @@ class TestMiSweepAndInversion:
         assert out[0]["status"] == "out-of-range"
         assert out[0]["snr_db"] is None
 
+    def test_inversion_drops_points_below_an_earlier_one(self):
+        # 1.99997 and 1.99998 each lie below 1.99999, though 1.99998 is above
+        # its predecessor; only 10 and 11 dB stay on the curve.
+        rows = [
+            MiResult(snr_db=s, scheme="direct", config="", value_bits=v, error_estimate=0.0)
+            for s, v in zip((10.0, 11.0, 12.0, 13.0), (1.9, 1.99999, 1.99997, 1.99998))
+        ]
+        out = snr_at_mi(rows, mi_targets=(1.95, 1.99998, 1.999995))
+        line = PchipInterpolator([1.9, 1.99999], [10.0, 11.0])
+        assert [r["status"] for r in out] == ["ok", "ok", "out-of-range"]
+        assert out[0]["snr_db"] == float(line(1.95))
+        assert out[1]["snr_db"] == float(line(1.99998))
+
     def test_inversion_needs_two_points(self):
         rows = [
             MiResult(snr_db=0.0, scheme="direct", config="", value_bits=0.5, error_estimate=0.0)
         ]
         out = snr_at_mi(rows, mi_targets=(0.5,))
         assert out[0]["status"] == "insufficient-grid"
+
+
+@st.composite
+def _pchip_curves(draw):
+    """Strictly increasing x with y values that repeat and change sign, so
+    the curves have flat runs and turning points; two points included."""
+    n = draw(st.integers(2, 10))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    # (secants near 1e-308 overflow the harmonic mean, with a warning in scipy
+    # as here; an MI curve never has them)
+    wide = st.floats(-50.0, 50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-12)
+    level = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), wide)
+    y = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
+    u = np.concatenate((x[0] + np.array(inside) * (x[-1] - x[0]), x, [x[0] - 1.0, x[-1] + 1.0]))
+    return x, y, u
+
+
+class TestPchip:
+    """The PCHIP slopes and curve of snr_at_mi return scipy's bits."""
+
+    @given(_pchip_curves())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pchip_interpolator(self, curve):
+        x, y, u = curve
+        assume(np.all(np.diff(x) > 0))
+        ref = PchipInterpolator(x, y)
+        slopes = _pchip_slopes(x, y)
+        want = PchipInterpolator._find_derivatives(x, y, xp=np)
+        coef = _hermite(x, y, slopes)
+        assert np.array_equal(slopes.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(coef.view(np.uint64), ref.c.view(np.uint64))
+        assert np.array_equal(_hermite_eval(coef, x, u).view(np.uint64), ref(u).view(np.uint64))
+
+    def test_cases(self):
+        # two points (the secant), a flat run, turning points, an end estimate
+        # against its secant's sign (set to 0), and one over 3 times its
+        # secant where the secants change sign (set to 3 times it)
+        cases = (
+            ([0.0, 1.0], [2.0, 5.0], None),
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 2.0], None),
+            ([0.0, 1.0, 3.0, 3.5], [0.0, 4.0, -1.0, 2.0], None),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0], 0.0),
+            ([0.0, 10.0, 11.0], [0.0, 10.0, 0.0], 3.0),
+        )
+        for x, y, first in cases:
+            x, y = np.array(x), np.array(y)
+            got = _pchip_slopes(x, y)
+            assert np.array_equal(got, PchipInterpolator._find_derivatives(x, y, xp=np))
+            assert first is None or got[0] == first
 
 
 class TestBerSweep:

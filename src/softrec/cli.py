@@ -285,7 +285,15 @@ def _cmd_ber_sweep(resolved: dict) -> int:
 
 
 def _audit_cell(ch, transform, rng, samples_per_decision: int):
-    """One (snr, config) audit cell: returns (analytic, mc, min KS p-value)."""
+    """One (snr, config) audit cell: returns (analytic, mc, min KS p-value).
+
+    The decisions group the metrics once (``_group_by_decision``), and each
+    group is sorted once, in place. Both tests read that sorted group: its
+    row of the (decision, metric bin) histogram is a ``searchsorted`` of
+    the bin edges, and the KS statistic is a pass over it. This replaces a
+    boolean mask per decision and a floor-and-fix-up binning of every
+    sample, with the same counts and p-values bit for bit.
+    """
     analytic = leakage(transform)
     order = ch.constellation.order
     counts = np.zeros(order, dtype=np.int64)
@@ -305,10 +313,19 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
         counts += np.bincount(d, minlength=order)
     n = np.concatenate(chunks_n)
     d = np.concatenate(chunks_d)
+    del chunks_n, chunks_d
+    grouped = _group_by_decision(n, d, order)
+    del n, d
+
+    joint = np.empty((order, MC_BINS), dtype=np.int64)
+    ks_min = 1.0
+    for i, group in enumerate(np.split(grouped, np.cumsum(counts[:-1]))):
+        group.sort()
+        joint[i] = _bin_counts(group)
+        ks_min = min(ks_min, _ks_uniform(group)[1])
 
     # Plug-in MI of the (decision, binned metric) joint with the
     # Miller-Madow correction; zero leakage shows up at the sampling floor.
-    joint = _joint_counts(d, n, order)
     total = joint.sum()
     pj = joint / total
     pr = pj.sum(axis=1, keepdims=True)
@@ -319,34 +336,35 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     k_r = int(np.count_nonzero(pr))
     k_c = int(np.count_nonzero(pc))
     mc -= (k_j - k_r - k_c + 1) / (2.0 * total * np.log(2.0))
-
-    ks_min = 1.0
-    for i in range(order):
-        ks_min = min(ks_min, _ks_uniform(n[d == i])[1])
     return analytic, mc, ks_min
 
 
-def _joint_counts(d: np.ndarray, n: np.ndarray, order: int) -> np.ndarray:
-    """(order, MC_BINS) counts of (decision, metric bin) pairs.
+def _group_by_decision(n: np.ndarray, d: np.ndarray, order: int) -> np.ndarray:
+    """``n`` grouped by decision: the concatenation of n[d == 0], ...,
+    n[d == order - 1], each group in its original order.
 
-    The same counts as ``np.histogram2d(d, n, bins=[order, MC_BINS],
-    range=[[-0.5, order - 0.5], [0, 1]])``, as integers, for decisions in
-    [0, order) and metrics in [0, 1]: bin k holds edge[k] <= n < edge[k + 1]
-    over the ``np.linspace`` edges, and the last bin also holds n = 1.
-    floor(n * MC_BINS) is off by at most one bin near an edge, so it is
-    moved down or up against the edges themselves.
+    One stable argsort of the decisions cast to the smallest unsigned type
+    that holds them, which numpy sorts by radix.
     """
-    edges = np.linspace(0.0, 1.0, MC_BINS + 1)
-    k = np.minimum((n * MC_BINS).astype(np.intp), MC_BINS - 1)
-    k -= n < edges[k]
-    k += (n >= edges[k + 1]) & (k < MC_BINS - 1)
-    counts = np.bincount(d * MC_BINS + k, minlength=order * MC_BINS)
-    return counts.reshape(order, MC_BINS)
+    keys = d.astype(np.min_scalar_type(order - 1))
+    return n[np.argsort(keys, kind="stable")]
+
+
+def _bin_counts(x: np.ndarray) -> np.ndarray:
+    """MC_BINS counts of the sorted metrics ``x`` in [0, 1].
+
+    The same counts as ``np.histogram(x, bins=MC_BINS, range=(0, 1))``,
+    as integers: bin k holds edge[k] <= x < edge[k + 1] over the
+    ``np.linspace`` edges, and the last bin also holds x = 1.
+    """
+    pos = np.searchsorted(x, np.linspace(0.0, 1.0, MC_BINS + 1), side="left")
+    pos[-1] = x.size
+    return np.diff(pos)
 
 
 def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
-    """(statistic, p-value) of the two-sided one-sample KS test of ``x``
-    against Uniform[0, 1], from one sort.
+    """(statistic, p-value) of the two-sided one-sample KS test of the
+    sorted sample ``x`` against Uniform[0, 1].
 
     The statistic D = max(D+, D-) and the p-value clip(kstwo.sf(D, N), 0, 1)
     are computed as ``scipy.stats.kstest(x, "uniform")`` computes them, whose
@@ -356,7 +374,6 @@ def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
     """
     from scipy.stats import kstwo
 
-    x = np.sort(x)
     size = x.size
     d_plus = np.max(np.arange(1.0, size + 1) / size - x)
     d_minus = np.max(x - np.arange(0.0, size) / size)

@@ -106,7 +106,7 @@ class ExperimentSpec:
         Preset name, alist path, or alist text (BER sweeps only); loaded
         here, so a bad source fails when the spec is built.
     alpha : float
-        LAPPR scaling for the rrs decoder input; > 0.
+        LAPPR scaling for the rrs decoder input; finite and > 0.
     frames_per_point : int
         Cap on simulated frames per (snr, scheme, config) cell.
     master_seed : int
@@ -155,8 +155,8 @@ class ExperimentSpec:
             if len(c.signs) != m:
                 raise ValueError(f"config {c} does not match constellation order {m}")
         object.__setattr__(self, "configs", configs)
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
         if self.frames_per_point < 1:
             raise ValueError("frames_per_point must be >= 1")
         if self.workers < 1:

@@ -124,9 +124,10 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
         The sender's own symbol indices.
     t : SofteningTransform
     alpha : float
-        Multiplicative scaling applied before clamping; 1.0 leaves the
-        log-ratios untouched. 0.65 is the documented tuned preset for the
-        bundled rate-1/2 decoder.
+        Multiplicative scaling applied before clamping; finite and > 0,
+        since an infinite one times an equal pair of log-sums is NaN. 1.0
+        leaves the log-ratios untouched. 0.65 is the documented tuned
+        preset for the bundled rate-1/2 decoder.
 
     Returns
     -------
@@ -134,8 +135,8 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
         [s, l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f))
         with f = f(n[s], i | j[s]) and the constellation's bit labeling.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     jarr = np.asarray(j)
     if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
         raise ValueError("symbol index out of range")

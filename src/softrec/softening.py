@@ -182,20 +182,30 @@ def soften(y, t: SofteningTransform):
     (n, decision)
         ``n`` in [0, 1] with the same shape as ``y``; ``decision`` the
         region index of each observation.
+
+    Both pieces are one formula, n = (F_Y(y) - ref_i) / (s_i * dF_i), with
+    ref_i the low edge's CDF for an increasing piece (s_i = +1) and the
+    high edge's for a decreasing one (s_i = -1). So each sample takes one
+    gather from each of two per-region tables, computed in place. Negating
+    a difference or a divisor is exact, so this gives the bits of
+    (hi - F_Y(y)) / dF_i, except that F_Y(y) = hi gives -0.0, which
+    adding +0.0 turns back into the +0.0 of that form.
     """
     arr = np.asarray(y, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError("soften: observations must be finite")
-    d = decide(arr, t.regions)
-    didx = np.asarray(d)
-    fy = output_cdf(arr, t.channel)
-    signs = np.asarray(t.config.signs)[didx]
-    lo = t.cdf_edges[didx]
-    hi = t.cdf_edges[didx + 1]
-    n = np.where(signs > 0, fy - lo, hi - fy) / t.deltas[didx]
-    n = np.clip(n, 0.0, 1.0)
     if arr.ndim == 0:
-        return float(n), int(d)
+        n, d = soften(arr.reshape(1), t)
+        return float(n[0]), int(d[0])
+    d = decide(arr, t.regions)
+    signs = np.asarray(t.config.signs)
+    ref = np.where(signs > 0, t.cdf_edges[:-1], t.cdf_edges[1:])
+    n = output_cdf(arr, t.channel)
+    per_sample = np.take(ref, d)
+    n -= per_sample
+    n /= np.take(signs * t.deltas, d, out=per_sample)
+    n += 0.0
+    np.clip(n, 0.0, 1.0, out=n)
     return n, d
 
 

@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+import reference_audit
 import softrec.cli as cli
 from softrec.channel import ChannelModel
+from softrec.constellation import pam
+from softrec.harness import noise_variance_for_snr_db
 from softrec.softening import build_transform
 
 
@@ -87,6 +90,13 @@ class TestArgumentHandling:
         rc = run([command, "--snr", "6", "--seed", "-1", "--out", str(tmp_path)])
         assert rc == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "0"])
+    def test_bad_alpha_rejected_before_echo(self, tmp_path, capsys, alpha):
+        rc = run(["ber-sweep", "--snr", "3", "--alpha", alpha, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "alpha must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "run_log.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -399,23 +409,27 @@ def _near_edges(bins: int) -> list:
 
 
 # With 7 bins, floor(n * bins) lands one bin low just above some edges; with
-# the audit's 20 it lands one bin high just below some.
+# the audit's 20 it lands one bin high just below some. The searchsorted
+# counts must agree at all of them.
 _BINS = (cli.MC_BINS, 7)
 _NEAR_EDGES = sorted(set().union(*(_near_edges(b) for b in _BINS)))
 _METRIC = st.one_of(st.floats(0.0, 1.0), st.sampled_from(_NEAR_EDGES))
 
 
 class TestAuditCellShortcuts:
-    # the audit cell's histogram and KS test against the numpy and scipy
-    # routines they stand in for
+    # the audit cell's grouping, histogram and KS test against the numpy
+    # and scipy routines they stand in for
 
     @staticmethod
     def _joint_counts_both_ways(d, n, bins):
+        # one sort per decision, as the audit cell does it
+        sizes = np.bincount(d, minlength=4)
+        groups = np.split(cli._group_by_decision(n, d, 4), np.cumsum(sizes[:-1]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "MC_BINS", bins)
-            got = cli._joint_counts(d, n, 4)
+            got = [cli._bin_counts(np.sort(g)).tolist() for g in groups]
         want, _, _ = np.histogram2d(d, n, bins=[4, bins], range=[[-0.5, 3.5], [0.0, 1.0]])
-        return got.tolist(), want.tolist()
+        return got, want.tolist()
 
     @pytest.mark.parametrize("bins", _BINS)
     @settings(max_examples=300, deadline=None)
@@ -433,18 +447,38 @@ class TestAuditCellShortcuts:
         got, want = self._joint_counts_both_ways(rng.integers(0, 4, n.size), n, bins)
         assert got == want
 
+    @pytest.mark.parametrize("order, size", [(4, 200_000), (2, 5_000), (300, 50_000)])
+    def test_grouping_matches_masks(self, order, size):
+        # each group in its original order: the argsort must be stable
+        rng = np.random.default_rng(order)
+        d = rng.integers(0, order, size)
+        n = rng.random(size)
+        want = np.concatenate([n[d == i] for i in range(order)])
+        assert cli._group_by_decision(n, d, order).tobytes() == want.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_METRIC, min_size=1, max_size=400))
     def test_ks_matches_kstest(self, xs):
         x = np.array(xs)
         want = kstest(x, "uniform")
-        assert cli._ks_uniform(x) == (want.statistic, want.pvalue)
+        assert cli._ks_uniform(np.sort(x)) == (want.statistic, want.pvalue)
 
     @pytest.mark.parametrize("size, power", [(150_000, 1.0), (150_000, 1.02), (3, 1.0)])
     def test_ks_matches_kstest_on_large_samples(self, size, power):
         x = np.random.default_rng(size).random(size) ** power
         want = kstest(x, "uniform")
-        assert cli._ks_uniform(x) == (want.statistic, want.pvalue)
+        assert cli._ks_uniform(np.sort(x)) == (want.statistic, want.pvalue)
+
+    @pytest.mark.parametrize("cfg", ["base", "alternating"])
+    @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0])
+    def test_cell_matches_reference(self, snr, cfg):
+        # the whole cell against the masks-and-binning form it replaced
+        c = pam(4)
+        ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+        t = build_transform(ch, cfg)
+        got = cli._audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        want = reference_audit.audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        assert got == want
 
 
 class TestParserSmoke:

@@ -167,3 +167,56 @@ class TestDecideDemap:
     def test_noiseless_decide_recovers_symbols(self, pam4, regions4):
         idx = np.arange(4)
         np.testing.assert_array_equal(decide(pam4.points, regions4), idx)
+
+
+def _oracle(y, regions):
+    return np.searchsorted(regions.boundaries, y, side="left").astype(np.int64)
+
+
+def _near_boundaries(regions):
+    """Each threshold and its neighbouring doubles, the infinities, and 0."""
+    b = regions.boundaries
+    return np.concatenate(
+        [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-np.inf, np.inf, 0.0]]
+    )
+
+
+class TestDecideMatchesSearchsorted:
+    # decide counts the thresholds below y; the binary search is its oracle
+
+    def test_at_thresholds_and_their_neighbours(self, regions4):
+        y = _near_boundaries(regions4)
+        got = decide(y, regions4)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _oracle(y, regions4))
+
+    def test_scalar_and_empty(self, regions4):
+        for y in _near_boundaries(regions4):
+            got = decide(y, regions4)
+            assert type(got) is int
+            assert got == int(np.searchsorted(regions4.boundaries, y, side="left"))
+        empty = decide(np.empty(0), regions4)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+
+    def test_keeps_the_shape(self, regions4):
+        y = np.linspace(-5.0, 5.0, 12).reshape(3, 4)
+        np.testing.assert_array_equal(decide(y, regions4), _oracle(y, regions4))
+
+    def test_rejects_nan(self, regions4):
+        with pytest.raises(ValueError, match="NaN"):
+            decide(np.array([0.0, np.nan]), regions4)
+
+    @given(
+        order=st.sampled_from([2, 4, 8, 16]),
+        log_var=st.floats(np.log(1e-4), np.log(250.0)),
+        skew=st.floats(0.0, 1.0),
+        y=st.lists(st.floats(-60.0, 60.0), max_size=50),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_on_pam_channels(self, order, log_var, skew, y):
+        # geometric priors (uniform at skew 0) shift the MAP thresholds
+        priors = np.exp(-skew * np.arange(order) / order)
+        c = pam(order, priors=priors / priors.sum())
+        regions = map_decision_regions(c, float(np.exp(log_var)))
+        ys = np.concatenate([_near_boundaries(regions), c.points, y])
+        np.testing.assert_array_equal(decide(ys, regions), _oracle(ys, regions))

@@ -85,10 +85,9 @@ class TestExperimentSpec:
             tiny_spec(snr_grid_db=(0.0, bad))
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            tiny_spec(alpha=0.0)
-        with pytest.raises(ValueError):
-            tiny_spec(alpha=-1.0)
+        for bad in (0.0, -1.0, float("inf"), float("nan"), -float("inf")):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                tiny_spec(alpha=bad)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):

@@ -102,5 +102,6 @@ class TestLappr:
             lappr_batch([1.5], [0], t_base)
         with pytest.raises(ValueError):
             lappr_batch([0.5], [7], t_base)
-        with pytest.raises(ValueError):
-            lappr_batch([0.5], [0], t_base, alpha=0.0)
+        for bad in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+                lappr_batch([0.5], [0], t_base, alpha=bad)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest
 
+import reference_audit
 from softrec.channel import ChannelModel, output_cdf, output_density, transmit
 from softrec.constellation import decide, pam
 from softrec.softening import (
@@ -155,6 +156,51 @@ class TestUniformity:
         f = output_cdf(y, ch4_0db)
         expect = (t_alt.cdf_edges[i + 1] - f) / t_alt.deltas[i]
         np.testing.assert_allclose(n, expect, rtol=1e-10)
+
+
+class TestSoftenMatchesReference:
+    # soften's one-formula pieces against the two-formula form it replaced,
+    # byte for byte, so a -0.0 on a decreasing piece's high edge fails
+
+    @staticmethod
+    def _points(t, extra):
+        b = t.regions.boundaries
+        return np.concatenate(
+            [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), [-60.0, 60.0, 0.0], extra]
+        )
+
+    @given(
+        order=st.sampled_from([2, 4, 8]),
+        log_var=st.floats(np.log(1e-4), np.log(250.0)),
+        data=st.data(),
+        y=st.lists(st.floats(-60.0, 60.0), max_size=50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes(self, order, log_var, data, y):
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order))
+        t = build_transform(
+            ChannelModel(pam(order), float(np.exp(log_var))), MonotonicityConfig(tuple(signs))
+        )
+        ys = self._points(t, y)
+        n, d = soften(ys, t)
+        want_n, want_d = reference_audit.soften(ys, t)
+        assert n.tobytes() == want_n.tobytes()
+        assert d.dtype == want_d.dtype and d.tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize("cfg", ["base", "alternating"])
+    def test_same_bytes_on_draws(self, ch4_0db, cfg):
+        t = build_transform(ch4_0db, cfg)
+        rng = np.random.default_rng(8)
+        ys = self._points(t, transmit(rng.integers(0, 4, 200_000), ch4_0db, rng))
+        n, d = soften(ys, t)
+        want_n, want_d = reference_audit.soften(ys, t)
+        assert n.tobytes() == want_n.tobytes() and d.tobytes() == want_d.tobytes()
+
+    def test_high_edge_of_a_decreasing_piece_is_positive_zero(self, t_alt):
+        # y on threshold 1 is in region 1, decreasing: F(y) is its high edge
+        y = t_alt.regions.boundaries[1]
+        for n, d in (soften(np.array([y]), t_alt), soften(y, t_alt)):
+            assert np.all(d == 1) and np.all(n == 0.0) and not np.any(np.signbit(n))
 
 
 class TestJacobian:

@@ -219,33 +219,14 @@ def _hermite(x, y, dydx) -> np.ndarray:
     return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
 
 
-def _hermite_interval(x, u, i):
-    """Move each guess i (changed in place) to the interval PPoly evaluates
-    u on: x_i <= u < x_{i+1}, clipped to [0, n - 2], which is
-    searchsorted(x, u, "right") - 1. Each pass moves the points still off by
-    one interval, and only those."""
-    top = x.size - 2
-    rows = np.flatnonzero(u >= np.take(x[1:], i))
-    while rows.size:
-        rows = rows[i[rows] < top]
-        i[rows] += 1
-        rows = rows[u[rows] >= x[1:][i[rows]]]
-    rows = np.flatnonzero(u < np.take(x, i))
-    while rows.size:
-        rows = rows[i[rows] > 0]
-        i[rows] -= 1
-        rows = rows[u[rows] < x[i[rows]]]
-    return i
-
-
-def _hermite_eval(coef, x, u, i=None) -> np.ndarray:
-    """The curve of ``_hermite(x, ...)`` at the points u, on their intervals
-    i (by default searchsorted's, see ``_hermite_interval``); past either
-    end the end cubic extrapolates. The sum is PPoly's, in its order:
-    ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s and
-    s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's does."""
-    if i is None:
-        i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
+def _hermite_eval(coef, x, u) -> np.ndarray:
+    """The curve of ``_hermite(x, ...)`` at the points u, each on PPoly's
+    interval i = searchsorted(x, u, "right") - 1, clipped to [0, n - 2], so
+    past either end the end cubic extrapolates. The sum is PPoly's, in its
+    order: ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s
+    and s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's
+    does."""
+    i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
     c = np.take(coef, i, axis=1)
     s = u - np.take(x, i)
     s2 = s * s
@@ -263,16 +244,17 @@ def output_quantile(p, ch: ChannelModel):
       max a + 8 sigma]. Each gets its normal score u_k = Phi^{-1}(F_Y(y_k))
       on the lower half and -Phi^{-1}(P(Y > y_k)) on the upper half. A cubic
       Hermite curve interpolates y(u) with the exact slope phi(u) / f_Y(y),
-      and a point starts at y(u) for its own normal score. The curve
+      and a point starts at y(v) for its own normal score
+      v = Phi^{-1}(p) (or -Phi^{-1}(1 - p) where p > 1/2). The curve
       (``_hermite``) returns the bits of scipy's CubicHermiteSpline, and it
       is evaluated in blocks of ``_BLOCK`` points.
-    - Bracket. The grid cell around a point, found by comparing its tail
-      mass with the grid's, is its bracket. It also names the point's
-      curve interval, so the start needs no second search.
+    - Bracket. Each a_j lies in [a_0, a_{M-1}], so
+      Phi((y - a_{M-1}) / sigma) <= F_Y(y) <= Phi((y - a_0) / sigma), and
+      the same holds for P(Y > y), mirrored. So every point's bracket is
+      [a_0 + sigma v, a_{M-1} + sigma v].
     - Far tail. A point past the grid starts from the dominant edge
       component alone, y = a_min + sigma Phi^{-1}(p / P(a_min)), mirrored in
-      the upper tail. Its lower bracket edge grows by doubling steps, tested
-      once per round at one scalar.
+      the upper tail.
 
     Each Newton iteration then runs on the active set, the points not yet
     solved; a solved point leaves it. Every step is elementwise, so a
@@ -322,70 +304,45 @@ def output_quantile(p, ch: ChannelModel):
             dens += _phi_term(w, z)
         return sgn * (tail - target), dens / (np.sqrt(2.0 * np.pi) * sig)
 
-    # The grid's tail masses are the residual's own sums at y_k, so comparing
-    # them with a point's target gives it a bracket [lo, hi] with
-    # residual(lo) <= 0 <= residual(hi): c counts the grid points where the
-    # residual is <= 0, and the cell is (grid[c - 1], grid[c]). Past the top,
-    # hi = a_max + 10 sigma holds every upper point, since the tail mass
-    # there is at most Phi(-10) ~ 7.6e-24, below any double 1 - p >= 2**-53.
-    # Past the bottom, lo starts at a_min - 10 sigma and grows below.
-    grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _GRID)
-    cdf = _cdf(grid, ch)
-    sf = _cdf(grid, ch, -1.0)
-    c = np.empty(pv.shape, dtype=np.intp)
-    c[~upper] = np.searchsorted(cdf, target[~upper], "right")
-    c[upper] = _GRID - np.searchsorted(sf[::-1], target[upper], "left")
-    ends = np.concatenate(([pts[0] - 10.0 * sig], grid, [pts[-1] + 10.0 * sig]))
-    lo = ends[c]
-    hi = ends[c + 1]
+    # The bracket (see above) has residual(lo) <= 0 <= residual(hi) on both
+    # tails; it is zero wide for a one-point constellation.
+    v = sgn * ndtri(target)
+    lo = pts[0] + sig * v
+    hi = pts[-1] + sig * v
 
     # The Hermite curve through the grid's normal scores. A flat stretch of
     # the CDF repeats a score, and a saturated tail gives an infinite one;
     # the curve keeps the points where the score is finite and rises.
+    grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _GRID)
+    cdf = _cdf(grid, ch)
+    sf = _cdf(grid, ch, -1.0)
     u = np.where(cdf <= 0.5, ndtri(cdf), -ndtri(sf))
     with np.errstate(over="ignore"):
         slope = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_output_density(grid, ch))
     rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
     usable = rising & np.isfinite(u) & np.isfinite(slope)
-    # A point's bracket cell names its curve interval: the last knot at or
-    # below grid[c - 1], which _hermite_interval moves to the exact one if
-    # the two tails' scores round across a knot. The start runs in blocks,
-    # so its temporaries are small and come back from the heap instead of
-    # faulting in fresh pages. Where the density underflows between points
-    # at small sigma, slopes near 1e300 can overflow a segment's
-    # coefficients; its points start at NaN and are mended after the clip.
+    # The start runs in blocks, so its temporaries are small and come back
+    # from the heap instead of faulting in fresh pages. Where the density
+    # underflows between points at small sigma, slopes near 1e300 can
+    # overflow a segment's coefficients; its points start at NaN and are
+    # mended after the clip.
     knots = u[usable]
-    first = np.concatenate(([0], np.cumsum(usable) - 1))
-    np.clip(first, 0, knots.size - 2, out=first)
     y = np.empty_like(pv)
     with np.errstate(over="ignore", invalid="ignore"):
         coef = _hermite(knots, grid[usable], slope[usable])
         for a in range(0, pv.size, _BLOCK):
             b = slice(a, a + _BLOCK)
-            v = sgn[b] * ndtri(target[b])
-            y[b] = _hermite_eval(coef, knots, v, _hermite_interval(knots, v, first[c[b]]))
+            y[b] = _hermite_eval(coef, knots, v[b])
+    del v
 
     # Past the grid, the edge point's own Gaussian tail holds nearly all the
     # mass: y = a_edge + sgn * sigma * Phi^{-1}(target / P_edge), where the
     # edge point is the first (lower tail) or the last (upper tail).
-    past = (c == 0) | (c == _GRID)
+    past = np.where(upper, target <= sf[-1], target < cdf[0])
     a_edge = np.where(upper[past], pts[-1], pts[0])
     p_edge = np.where(upper[past], priors[-1], priors[0])
     y[past] = a_edge + sgn[past] * sig * ndtri(np.minimum(target[past] / p_edge, 1.0))
 
-    # The lower bracket edge of the points below the grid moves outward by a
-    # doubling step until the CDF there is <= p. Every point still growing
-    # shares one edge, so each round evaluates the mixture at that one scalar.
-    grow = c == 0
-    edge = ends[0]
-    span = float(pts[-1] - pts[0]) + 10.0 * sig
-    for _ in range(100):
-        if not grow.any():
-            break
-        grow &= _cdf(edge, ch) > target
-        edge -= span
-        lo[grow] = edge
-        span *= 2.0
     y = np.clip(y, lo, hi)
     # A NaN start would become a bracket edge on the first pass; start such a
     # point at its bracket's middle instead.

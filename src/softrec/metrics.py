@@ -94,7 +94,7 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     c : Constellation
         Supplies the bit labeling.
     alpha : float
-        Multiplicative scaling applied before clamping.
+        Multiplicative scaling applied before clamping, overflow included.
 
     Returns
     -------
@@ -108,7 +108,8 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
         zeros, ones = bit_partitions(c, l)
         l0 = logsumexp(logw[..., zeros], axis=-1)
         l1 = logsumexp(logw[..., ones], axis=-1)
-        out[..., l] = alpha * (l0 - l1)
+        with np.errstate(over="ignore"):
+            out[..., l] = alpha * (l0 - l1)
     np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP, out=out)
     return out
 

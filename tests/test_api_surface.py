@@ -57,6 +57,36 @@ def test_no_unused_imports(module):
     assert sorted(imported - used - exported) == []
 
 
+def test_no_unused_private_names():
+    # every module-level _name is read somewhere in the package, by name or
+    # as an attribute; a deletion that leaves a helper behind fails here
+    root = Path(softrec.__file__).parent
+    trees = {m: ast.parse((root / f"{m}.py").read_text()) for m in MODULES}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    defined = {
+        (module, name)
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert sorted((m, name) for m, name in defined if name not in read) == []
+
+
+def _bound_names(node):
+    """The names a module-level statement binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 @pytest.mark.parametrize(
     "statement, absent",
     [

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import reference_solver
 import softrec
@@ -24,7 +24,7 @@ from softrec.channel import (
     output_sf,
     transmit,
 )
-from softrec.constellation import pam
+from softrec.constellation import Constellation, pam
 from softrec.harness import noise_variance_for_snr_db
 from softrec.metrics import lappr_batch
 from softrec.softening import N_EPS, build_transform, soften
@@ -214,6 +214,11 @@ def _meets_contract(y, p, ch):
     return met | bracketed
 
 
+def _normal_score(p):
+    """Phi^{-1}(p), taken on the upper tail where p > 1/2 as the solver does."""
+    return np.where(p > 0.5, -ndtri(1.0 - p), ndtri(p))
+
+
 def _frame_probabilities(ch, config="alternating"):
     """The 129,600 p of one 32,400-symbol frame's lappr_batch solve."""
     t = build_transform(ch, config)
@@ -246,8 +251,24 @@ class TestQuantileSolver:
     @settings(max_examples=60, deadline=None)
     def test_contract(self, p, ch):
         # QuantileWarning is an error in this suite (pyproject.toml).
-        met = _meets_contract(output_quantile(p, ch), p, ch)
+        y = output_quantile(p, ch)
+        met = _meets_contract(y, p, ch)
         assert met.all(), p[~met]
+        # Every point stays inside its bracket from the outer points.
+        a, sv = ch.constellation.points, ch.sigma * _normal_score(p)
+        inside = (a[0] + sv <= y) & (y <= a[-1] + sv)
+        assert inside.all(), p[~inside]
+
+    @pytest.mark.parametrize("var", [1e-6, 1.0, 1e6])
+    def test_one_point_constellation(self, var):
+        # With one point the bracket is zero wide, so every p returns the
+        # normal quantile a + sigma v, bit for bit.
+        a = -1.3
+        ch = ChannelModel(Constellation(points=[a], priors=[1.0], bitmap=()), var)
+        lower = 10.0 ** np.linspace(-300.0, np.log10(0.5), 301)
+        p = np.concatenate((lower, 1.0 - 10.0 ** np.linspace(-16.0, -0.31, 100)))
+        want = a + ch.sigma * _normal_score(p)
+        assert np.array_equal(_bits(output_quantile(p, ch)), _bits(want))
 
     def test_correction_below_spacing(self):
         # At sigma^2 = 1.5e-6 the start for 1e-250 sits within a spacing of
@@ -352,11 +373,6 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-def _searchsorted_interval(x, u):
-    """The interval PPoly evaluates u on."""
-    return np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
-
-
 @st.composite
 def _hermite_data(draw):
     """Strictly increasing knots with values and slopes, and points inside,
@@ -396,51 +412,6 @@ class TestHermite:
         got = channel._hermite_eval(coef, x, u)
         assert np.array_equal(_bits(got), _bits(CubicHermiteSpline(x, y, dydx)(u)))
         assert _bits(got)[0] == 0
-
-    @given(_hermite_data(), st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_interval_from_any_guess(self, data, draw):
-        x, _, _, u = data
-        guesses = st.lists(st.integers(0, x.size - 2), min_size=u.size, max_size=u.size)
-        guess = np.array(draw.draw(guesses), dtype=np.intp)
-        got = channel._hermite_interval(x, u, guess)
-        assert np.array_equal(got, _searchsorted_interval(x, u))
-
-    @pytest.mark.parametrize("snr", [-10.0, 3.5, 25.0])
-    def test_frame_interval_from_bracket(self, pam4, snr):
-        # On a frame the bracket cell already names every point's interval,
-        # so the walk moves none of them.
-        ch = ChannelModel(pam4, noise_variance_for_snr_db(snr, pam4))
-        blocks = -(-129600 // channel._BLOCK)
-        assert _start_intervals(_frame_probabilities(ch), ch) == [(True, True)] * blocks
-
-    @given(_probabilities(-300.0, -16.0), _CHANNELS)
-    @settings(max_examples=60, deadline=None)
-    def test_interval_from_bracket_on_channels(self, p, ch):
-        [(_, walked)] = _start_intervals(p, ch)
-        assert walked
-
-
-def _start_intervals(p, ch):
-    """Solve, and for each block of the start say whether the interval
-    guessed from the bracket cell, and the interval after the walk, are the
-    ones a binary search over the knots finds."""
-    checked = []
-    walk = channel._hermite_interval
-
-    def spy(x, u, i):
-        want = _searchsorted_interval(x, u)
-        guessed = np.array_equal(i, want)
-        got = walk(x, u, i)
-        checked.append((guessed, np.array_equal(got, want)))
-        return got
-
-    channel._hermite_interval = spy
-    try:
-        output_quantile(p, ch)
-    finally:
-        channel._hermite_interval = walk
-    return checked
 
 
 def _pam_with_priors(order):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -96,6 +98,11 @@ class TestLappr:
         vals = lappr_batch([1e-12], [0], t_base)
         assert np.all(np.abs(vals) <= LAPPR_CLAMP + 1e-9)
         assert np.all(np.isfinite(vals))
+        # a huge finite alpha overflows the product, which clamps silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = lappr_batch([0.3, 0.5, 0.9], [0, 1, 2], t_base, alpha=1e308)
+        assert np.all(np.abs(vals) == LAPPR_CLAMP)
 
     def test_rejects_bad_inputs(self, t_base):
         with pytest.raises(ValueError):

@@ -282,7 +282,7 @@ class TestSolverPins:
         1e-4: [
             -3.302045868682091, -3.1146138722285426, -3.070302352743009, -3.0474726516342856,
             -3.0231489723546003, -3.0049789691614004, -2.9996122799516383, -2.994122513728479,
-            -2.9251419557101443, -1.0, 1.0991372549019607, 3.037190164854484,
+            -2.925456676830631, -1.0, 1.0991372549019607, 3.037190164854484,
             3.0636134429972577, 3.076371721053417,
         ],
         250.0: [

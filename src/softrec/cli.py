@@ -290,9 +290,7 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     The decisions group the metrics once (``_group_by_decision``), and each
     group is sorted once, in place. Both tests read that sorted group: its
     row of the (decision, metric bin) histogram is a ``searchsorted`` of
-    the bin edges, and the KS statistic is a pass over it. This replaces a
-    boolean mask per decision and a floor-and-fix-up binning of every
-    sample, with the same counts and p-values bit for bit.
+    the bin edges, and the KS statistic is a pass over it.
     """
     analytic = leakage(transform)
     order = ch.constellation.order

@@ -88,9 +88,18 @@ def noise_variance_for_snr_db(snr_db: float, c: Constellation) -> float:
     return es / (2.0 * 10.0 ** (snr_db / 10.0))
 
 
+# ExperimentSpec's counts, each an integer (not a bool) at or above its
+# value here.
+_COUNT_MINIMA = dict(
+    frames_per_point=1, workers=1, max_iters=1,
+    stop_bit_errors=0, stop_frame_errors=0, master_seed=0,
+)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything a sweep needs; immutable and picklable.
+    """Everything a sweep needs; immutable and picklable. A count outside
+    ``_COUNT_MINIMA`` (a float, a bool, or too small) fails at build.
 
     Attributes
     ----------
@@ -157,21 +166,18 @@ class ExperimentSpec:
         object.__setattr__(self, "configs", configs)
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        if self.frames_per_point < 1:
-            raise ValueError("frames_per_point must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, got {seed!r}")
+        for name, least in _COUNT_MINIMA.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer, got {v!r}")
         load_code(self.code)
 
 
 @dataclass(frozen=True)
 class BerPoint:
-    """Aggregate of one (snr, scheme, config) cell of a BER sweep."""
+    """Aggregate of one (snr, scheme, config) cell of a BER sweep; its frame
+    errors split into undetected (syndrome met, bits wrong) and not converged."""
 
     snr_db: float
     scheme: str
@@ -185,6 +191,8 @@ class BerPoint:
     ber_ci_hi: float
     fer: float
     undersampled: bool
+    undetected_frames: int
+    not_converged_frames: int
 
 
 @dataclass(frozen=True)
@@ -423,16 +431,11 @@ def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
     usable points flag ``insufficient-grid``.
     """
     curves: dict[tuple, list[MiResult]] = {}
-    order: list[tuple] = []
     for r in results:
-        key = (r.scheme, r.config)
-        if key not in curves:
-            curves[key] = []
-            order.append(key)
-        curves[key].append(r)
+        curves.setdefault((r.scheme, r.config), []).append(r)
     rows = []
-    for key in order:
-        pts = sorted(curves[key], key=lambda r: r.snr_db)
+    for key, curve in curves.items():
+        pts = sorted(curve, key=lambda r: r.snr_db)
         mi = np.array([p.value_bits for p in pts])
         snr = np.array([p.snr_db for p in pts])
         # MI is strictly increasing in SNR; keep a point only if it lies
@@ -500,9 +503,8 @@ def ber_sweep(
     are flagged ``undersampled``. Every frame draws its generator from
     (master seed, point index, scheme, config, frame index), so the result
     is independent of batching and worker count. Each cell's ``ber-point``
-    run-log record splits its frame errors into ``undetected_frames``
-    (decoder converged onto wrong bits) and ``not_converged_frames``, and
-    counts its frames by decoder sweeps in ``iterations_histogram``.
+    run-log record holds the point's ``_RUN_LOG_FIELDS`` and counts its
+    frames by decoder sweeps in ``iterations_histogram``.
     """
     code = load_code(spec.code)
     cells = [
@@ -528,10 +530,8 @@ def ber_sweep(
                     bit_err += nerr
                     frame_err += nerr > 0
                     sweeps[used] += 1
-                    if converged:
-                        undetected += nerr > 0
-                    else:
-                        not_converged += 1
+                    undetected += converged and nerr > 0
+                    not_converged += not converged
                 frames += batch
                 stopped = bit_err >= spec.stop_bit_errors and frame_err >= spec.stop_frame_errors
             nbits = frames * code.n
@@ -549,27 +549,18 @@ def ber_sweep(
                 ber_ci_hi=hi,
                 fer=frame_err / frames,
                 undersampled=not stopped,
+                undetected_frames=undetected,
+                not_converged_frames=not_converged,
             )
             points.append(pt)
             if log_path is not None:
-                append_run_log(
-                    log_path,
-                    {
-                        "event": "ber-point",
-                        "snr_db": pt.snr_db,
-                        "scheme": pt.scheme,
-                        "config": pt.config,
-                        "frames": frames,
-                        "bit_errors": bit_err,
-                        "frame_errors": frame_err,
-                        "undetected_frames": undetected,
-                        "not_converged_frames": not_converged,
-                        "ber": pt.ber,
-                        "mean_iterations": sum(k * v for k, v in sweeps.items()) / frames,
-                        "iterations_histogram": dict(sorted(sweeps.items())),
-                        "undersampled": pt.undersampled,
-                    },
+                record = {k: getattr(pt, k) for k in _RUN_LOG_FIELDS}
+                record.update(
+                    event="ber-point",
+                    mean_iterations=sum(k * v for k, v in sweeps.items()) / frames,
+                    iterations_histogram=dict(sorted(sweeps.items())),
                 )
+                append_run_log(log_path, record)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -616,9 +607,15 @@ def write_snr_at_mi_csv(rows: list[dict], path) -> None:
     )
 
 
+# The BerPoint fields that make up each ber.csv row and each ber-point
+# run-log record.
 _BER_COLUMNS = (
     "snr_db", "scheme", "config", "alpha", "frames",
     "bit_errors", "ber", "ber_ci_lo", "ber_ci_hi", "fer",
+)
+_RUN_LOG_FIELDS = (
+    "snr_db", "scheme", "config", "frames", "bit_errors", "frame_errors",
+    "undetected_frames", "not_converged_frames", "ber", "undersampled",
 )
 
 

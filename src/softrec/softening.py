@@ -118,7 +118,10 @@ class SofteningTransform:
     The CDF values at all region edges are precomputed once; they are hit in
     per-sample hot loops. ``cdf_edges[i] = F_Y(inf D_i)`` with a final entry
     of 1, so region i spans probability [cdf_edges[i], cdf_edges[i+1]] and
-    ``deltas[i]`` is its mass, which also equals P(decision = i).
+    ``deltas[i]`` is its mass, which also equals P(decision = i). Piece i
+    is n = (F_Y(y) - ref[i]) / mass[i]: ``ref[i]`` is F_Y at its n = 0 end
+    (the low edge if increasing, the high edge if decreasing) and
+    ``mass[i] = s_i * deltas[i]`` its signed mass.
     """
 
     channel: ChannelModel
@@ -126,6 +129,8 @@ class SofteningTransform:
     config: MonotonicityConfig
     cdf_edges: np.ndarray
     deltas: np.ndarray = field(init=False)
+    ref: np.ndarray = field(init=False)
+    mass: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         m = self.regions.count
@@ -138,6 +143,10 @@ class SofteningTransform:
             raise ValueError("every region must carry positive probability mass")
         if abs(self.deltas.sum() - 1.0) > _EDGE_SUM_TOL:
             raise ValueError("region probability masses must sum to 1")
+        signs = np.asarray(self.config.signs)
+        ref = np.where(signs > 0, self.cdf_edges[:-1], self.cdf_edges[1:])
+        object.__setattr__(self, "ref", ref)
+        object.__setattr__(self, "mass", signs * self.deltas)
 
     @property
     def order(self) -> int:
@@ -183,13 +192,12 @@ def soften(y, t: SofteningTransform):
         ``n`` in [0, 1] with the same shape as ``y``; ``decision`` the
         region index of each observation.
 
-    Both pieces are one formula, n = (F_Y(y) - ref_i) / (s_i * dF_i), with
-    ref_i the low edge's CDF for an increasing piece (s_i = +1) and the
-    high edge's for a decreasing one (s_i = -1). So each sample takes one
-    gather from each of two per-region tables, computed in place. Negating
-    a difference or a divisor is exact, so this gives the bits of
-    (hi - F_Y(y)) / dF_i, except that F_Y(y) = hi gives -0.0, which
-    adding +0.0 turns back into the +0.0 of that form.
+    Both pieces are one formula, n = (F_Y(y) - ref_i) / mass_i, with the
+    transform's ``ref`` and ``mass`` tables, so each sample takes one
+    gather from each, computed in place. Negating a difference or a divisor
+    is exact, so a decreasing piece gives the bits of (hi - F_Y(y)) / dF_i,
+    except that F_Y(y) = hi gives -0.0, which adding +0.0 turns back into
+    the +0.0 of that form.
     """
     arr = np.asarray(y, dtype=float)
     if arr.size and not np.all(np.isfinite(arr)):
@@ -198,12 +206,10 @@ def soften(y, t: SofteningTransform):
         n, d = soften(arr.reshape(1), t)
         return float(n[0]), int(d[0])
     d = decide(arr, t.regions)
-    signs = np.asarray(t.config.signs)
-    ref = np.where(signs > 0, t.cdf_edges[:-1], t.cdf_edges[1:])
     n = output_cdf(arr, t.channel)
-    per_sample = np.take(ref, d)
+    per_sample = np.take(t.ref, d)
     n -= per_sample
-    n /= np.take(signs * t.deltas, d, out=per_sample)
+    n /= np.take(t.mass, d, out=per_sample)
     n += 0.0
     np.clip(n, 0.0, 1.0, out=n)
     return n, d
@@ -229,10 +235,8 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
     if iarr.size and (iarr.min() < 0 or iarr.max() >= t.order):
         raise ValueError("region index out of range")
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)
-    signs = np.asarray(t.config.signs)[iarr]
-    lo = t.cdf_edges[iarr]
-    hi = t.cdf_edges[iarr + 1]
-    p = np.where(signs > 0, lo + nc * t.deltas[iarr], hi - nc * t.deltas[iarr])
+    # hi + nc * (-dF) is hi - nc * dF bit for bit: negation is exact.
+    p = t.ref[iarr] + nc * t.mass[iarr]
     # Guard the open-interval requirement of the quantile against rounding.
     y = output_quantile(np.clip(p, 1e-300, 1.0 - 1e-16), t.channel)
     return y, output_density(y, t.channel) / t.deltas[iarr]

@@ -15,6 +15,8 @@ from softrec.harness import (
     MI_TARGETS,
     _pchip_slopes,
     SCHEMES,
+    _RUN_LOG_FIELDS,
+    BerPoint,
     ExperimentSpec,
     ProtocolResult,
     Transcript,
@@ -90,10 +92,18 @@ class TestExperimentSpec:
                 tiny_spec(alpha=bad)
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            tiny_spec(frames_per_point=0)
-        with pytest.raises(ValueError):
-            tiny_spec(workers=0)
+        # a float or bool count fails here, not inside a frame
+        for field, bad in [
+            ("frames_per_point", 0),
+            ("workers", 0),
+            ("max_iters", 2.5),
+            ("frames_per_point", 2.5),
+            ("workers", 1.5),
+            ("frames_per_point", True),
+            ("stop_bit_errors", -1),
+        ]:
+            with pytest.raises(ValueError, match=f"{field} must be a"):
+                tiny_spec(**{field: bad})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
     def test_rejects_bad_seed(self, seed):
@@ -393,14 +403,14 @@ class TestCrossCommitPin:
     last symbol's second bit is cut off every frame."""
 
     BER_POINTS = [
-        (1.0, "direct", "", 1.0, 8, 11, 4, 0.19642857142857142, 0.11338595674323658, 0.31844607626458404, 0.5, True),
-        (1.0, "hard", "", 1.0, 8, 15, 7, 0.26785714285714285, 0.16957305418501728, 0.39594555929155156, 0.875, True),
-        (1.0, "rrs", "base", 0.8, 8, 14, 6, 0.25, 0.15517054688270684, 0.376926421476675, 0.75, True),
-        (1.0, "rrs", "alternating", 0.8, 8, 2, 1, 0.03571428571428571, 0.00984942514823639, 0.12118780180490107, 0.125, True),
-        (4.0, "direct", "", 1.0, 8, 5, 2, 0.08928571428571429, 0.03874214844958693, 0.19256001385511162, 0.25, True),
-        (4.0, "hard", "", 1.0, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True),
-        (4.0, "rrs", "base", 0.8, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True),
-        (4.0, "rrs", "alternating", 0.8, 8, 3, 1, 0.05357142857142857, 0.018385781382109126, 0.14607309068821533, 0.125, True),
+        (1.0, "direct", "", 1.0, 8, 11, 4, 0.19642857142857142, 0.11338595674323658, 0.31844607626458404, 0.5, True, 1, 3),
+        (1.0, "hard", "", 1.0, 8, 15, 7, 0.26785714285714285, 0.16957305418501728, 0.39594555929155156, 0.875, True, 2, 5),
+        (1.0, "rrs", "base", 0.8, 8, 14, 6, 0.25, 0.15517054688270684, 0.376926421476675, 0.75, True, 2, 4),
+        (1.0, "rrs", "alternating", 0.8, 8, 2, 1, 0.03571428571428571, 0.00984942514823639, 0.12118780180490107, 0.125, True, 0, 1),
+        (4.0, "direct", "", 1.0, 8, 5, 2, 0.08928571428571429, 0.03874214844958693, 0.19256001385511162, 0.25, True, 1, 1),
+        (4.0, "hard", "", 1.0, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True, 0, 0),
+        (4.0, "rrs", "base", 0.8, 8, 0, 0, 0.0, 0.0, 0.06419393671876342, 0.0, True, 0, 0),
+        (4.0, "rrs", "alternating", 0.8, 8, 3, 1, 0.05357142857142857, 0.018385781382109126, 0.14607309068821533, 0.125, True, 1, 0),
     ]
 
     def test_ber_sweep_points(self):
@@ -442,9 +452,15 @@ class TestRunLogOutcomes:
             master_seed=2024,
         )
         log = tmp_path / "run_log.jsonl"
-        ber_sweep(spec, log_path=log)
+        points = ber_sweep(spec, log_path=log)
         rows = [json.loads(line) for line in log.read_text().splitlines()]
-        for r in rows:
+        # each record is a projection of its BerPoint, plus the sweep counts
+        fields = {f.name for f in dataclasses.fields(BerPoint)}
+        for r, p in zip(rows, points, strict=True):
+            shared = fields & r.keys()
+            assert shared == set(_RUN_LOG_FIELDS)
+            assert {k: r[k] for k in shared} == {k: getattr(p, k) for k in shared}
+            assert r.keys() - shared == {"event", "mean_iterations", "iterations_histogram"}
             assert r["frame_errors"] == r["undetected_frames"] + r["not_converged_frames"]
         assert [(r["undetected_frames"], r["not_converged_frames"]) for r in rows] == [
             (1, 3), (2, 5), (2, 4), (0, 1),
@@ -494,8 +510,6 @@ class TestCsvWriters:
         assert "0.1234567890123" in text
 
     def test_ber_csv_roundtrip_floats(self, tmp_path):
-        from softrec.harness import BerPoint
-
         pt = BerPoint(
             snr_db=3.1,
             scheme="rrs",
@@ -509,6 +523,8 @@ class TestCsvWriters:
             ber_ci_hi=4e-5,
             fer=0.2,
             undersampled=True,
+            undetected_frames=1,
+            not_converged_frames=1,
         )
         path = tmp_path / "ber.csv"
         write_ber_csv([pt], path)

@@ -26,7 +26,6 @@ __all__ = [
     "transmit",
     "output_density",
     "output_cdf",
-    "output_sf",
     "output_quantile",
     "QUANTILE_TOL",
     "QuantileWarning",
@@ -57,15 +56,15 @@ class ChannelModel:
     ----------
     constellation : Constellation
     noise_variance : float
-        sigma^2 = N0/2, in squared channel units; > 0.
+        sigma^2 = N0/2, in squared channel units; finite and > 0.
     """
 
     constellation: Constellation
     noise_variance: float
 
     def __post_init__(self) -> None:
-        if not self.noise_variance > 0:
-            raise ValueError(f"noise_variance must be > 0, got {self.noise_variance}")
+        if not 0 < self.noise_variance < np.inf:
+            raise ValueError(f"noise_variance must be finite and > 0, got {self.noise_variance}")
 
     @property
     def sigma(self) -> float:
@@ -191,17 +190,11 @@ def output_cdf(y, ch: ChannelModel):
     """Mixture CDF F_Y(y) = sum_j P_j * Phi((y - a_j)/sigma).
 
     Exact to absolute ~1e-16; values very close to 1 necessarily lose
-    relative precision in a double. Use ``output_sf`` when the upper-tail
-    mass itself is needed.
+    relative precision in a double; the upper-tail mass itself is
+    ``_cdf(y, ch, -1.0)``, accurate (relative) there.
     """
     arr = _checked(y, "output_cdf")
     return _shaped(arr, _cdf(arr, ch))
-
-
-def output_sf(y, ch: ChannelModel):
-    """Survival function P(Y > y); accurate (relative) in the upper tail."""
-    arr = _checked(y, "output_sf")
-    return _shaped(arr, _cdf(arr, ch, -1.0))
 
 
 # The cubic Hermite curve of the quantile start and of harness.snr_at_mi,

@@ -162,6 +162,8 @@ def _parse_snr(text) -> tuple:
             start, stop, step = (float(p) for p in parts)
         except ValueError:
             raise ValueError(f"bad snr range {s!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"snr_grid_db must be finite, got the range {s!r}")
         if step <= 0:
             raise ValueError("snr step must be > 0")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1

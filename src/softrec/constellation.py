@@ -7,7 +7,7 @@ into the bitmap strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,11 +58,15 @@ class Constellation:
         Symbol probabilities, shape (M,); positive, summing to 1.
     bitmap : tuple of str
         M distinct bit-strings of length log2(M) labeling the symbols.
+    bits : ndarray
+        The bitmap as a (M, L) uint8 table, MSB-first columns; (M, 0)
+        without a bitmap. Derived, not passed.
     """
 
     points: np.ndarray
     priors: np.ndarray
     bitmap: tuple[str, ...]
+    bits: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         points = np.asarray(self.points, dtype=float)
@@ -93,6 +97,8 @@ class Constellation:
             for label in bitmap:
                 if len(label) != width or set(label) - {"0", "1"}:
                     raise ValueError(f"bitmap label {label!r} is not a {width}-bit string")
+        bits = np.array([[int(b) for b in label] for label in bitmap], dtype=np.uint8)
+        object.__setattr__(self, "bits", bits.reshape(m, -1))
 
     @property
     def order(self) -> int:
@@ -102,16 +108,12 @@ class Constellation:
     @property
     def bits_per_symbol(self) -> int:
         """Label width L = log2(M)."""
-        return len(self.bitmap[0]) if self.bitmap else 0
+        return self.bits.shape[1]
 
     @property
     def average_power(self) -> float:
         """E[X^2] under the priors; amplitudes are never auto-normalized."""
         return float(np.sum(self.priors * self.points**2))
-
-    def bit_table(self) -> np.ndarray:
-        """Bitmap as a (M, L) uint8 array, MSB-first columns."""
-        return np.array([[int(b) for b in label] for label in self.bitmap], dtype=np.uint8)
 
 
 def pam(
@@ -179,7 +181,7 @@ def map_decision_regions(c: Constellation, noise_variance: float) -> DecisionReg
     ----------
     c : Constellation
     noise_variance : float
-        AWGN variance sigma^2 > 0.
+        AWGN variance sigma^2, finite and > 0.
 
     Returns
     -------
@@ -188,12 +190,12 @@ def map_decision_regions(c: Constellation, noise_variance: float) -> DecisionReg
     Raises
     ------
     ValueError
-        If ``noise_variance <= 0`` or some symbol's MAP region is empty
-        (possible with extreme priors); the message names the dominated
-        symbol.
+        If ``noise_variance`` is not finite and > 0, or some symbol's MAP
+        region is empty (possible with extreme priors); the message names
+        the dominated symbol.
     """
-    if not noise_variance > 0:
-        raise ValueError(f"noise_variance must be > 0, got {noise_variance}")
+    if not 0 < noise_variance < np.inf:
+        raise ValueError(f"noise_variance must be finite and > 0, got {noise_variance}")
     a = c.points
     p = c.priors
     if c.order == 1:
@@ -254,7 +256,7 @@ def demap(indices, c: Constellation) -> np.ndarray:
         idx = idx.reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= c.order):
         raise ValueError("symbol index out of range")
-    return c.bit_table()[idx].reshape(-1)
+    return c.bits[idx].reshape(-1)
 
 
 def bit_partitions(c: Constellation, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,6 +276,5 @@ def bit_partitions(c: Constellation, l: int) -> tuple[tuple[int, ...], tuple[int
     """
     if not 0 <= l < c.bits_per_symbol:
         raise ValueError(f"bit position {l} outside [0, {c.bits_per_symbol})")
-    zeros = tuple(i for i, label in enumerate(c.bitmap) if label[l] == "0")
-    ones = tuple(i for i, label in enumerate(c.bitmap) if label[l] == "1")
-    return zeros, ones
+    col = c.bits[:, l]
+    return tuple(np.flatnonzero(col == 0).tolist()), tuple(np.flatnonzero(col).tolist())

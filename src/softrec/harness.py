@@ -39,16 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel, _hermite, _hermite_eval, transmit
-from .constellation import (
-    Constellation,
-    bit_partitions,
-    decide,
-    demap,
-    map_decision_regions,
-)
+from .constellation import Constellation, decide, demap, map_decision_regions
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
-from .metrics import LAPPR_CLAMP, bit_lapprs, lappr_batch
+from .metrics import bit_lapprs, lappr_batch
 from .softening import MonotonicityConfig, build_transform, soften
 
 __all__ = [
@@ -239,23 +233,20 @@ def hard_rr_lapprs(ch: ChannelModel) -> np.ndarray:
     """Soft inputs available to the sender under hard reverse reconciliation.
 
     Without any disclosed metric the sender only knows the discrete channel
-    P(decision | sent = a_x) over the MAP regions, so every frame slot
-    carrying symbol x gets the same per-bit LLR log(P(bit=0|x)/P(bit=1|x)).
-    Magnitudes saturate at the clamp as the channel becomes noiseless.
+    T[x, i] = P(decision i | sent a_x) over the MAP regions, so every frame
+    slot carrying symbol x gets the same per-bit LLR
+    log(P(bit=0|x)/P(bit=1|x)): ``bit_lapprs`` over the log-weights log T[x],
+    the marginaliser of the other two schemes, with log 0 = -inf for a
+    decision that cannot occur. Magnitudes saturate at the clamp as the
+    channel becomes noiseless.
 
     Returns
     -------
     ndarray, shape (M, L)
         Row x holds the LLRs for sent symbol x.
     """
-    c = ch.constellation
-    t = transition_matrix(ch)
-    out = np.empty((c.order, c.bits_per_symbol))
     with np.errstate(divide="ignore"):
-        for l in range(c.bits_per_symbol):
-            zeros, ones = bit_partitions(c, l)
-            out[:, l] = np.log(t[:, zeros].sum(axis=1)) - np.log(t[:, ones].sum(axis=1))
-    return np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP)
+        return bit_lapprs(np.log(transition_matrix(ch)), ch.constellation)
 
 
 # ---------------------------------------------------------------------------

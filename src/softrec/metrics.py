@@ -23,7 +23,6 @@ from softrec.softening import SofteningTransform, inverse_and_jacobian
 __all__ = [
     "LAPPR_CLAMP",
     "bit_lapprs",
-    "joint_density_ratio_form",
     "log_joint_conditional_density",
     "lappr_batch",
 ]
@@ -57,32 +56,6 @@ def log_joint_conditional_density(n, i, j, t: SofteningTransform):
     return _log_joint_from_y(y, i, j, t)
 
 
-def joint_density_ratio_form(n, i, j, t: SofteningTransform):
-    """Same density through the expanded mixture-ratio identity.
-
-    Substituting the mixture forms of f_{Y|X} and f_Y collapses the joint
-    density to
-
-        dF_i / sum_k P_k exp(-(2 y - a_j - a_k)(a_j - a_k) / (2 sigma^2))
-
-    with y = g_i^{-1}(n). Kept as an independent evaluation route and
-    cross-checked against the definition form in the tests; do not fold the
-    two together.
-    """
-    ch = t.channel
-    y, _ = inverse_and_jacobian(n, i, t)
-    a = ch.constellation.points
-    aj = a[np.asarray(j)]
-    yb = np.asarray(y)[..., None]
-    ajb = np.asarray(aj)[..., None]
-    expo = -((2.0 * yb - ajb - a) * (ajb - a)) / (2.0 * ch.noise_variance)
-    log_den = logsumexp(expo, axis=-1, b=ch.constellation.priors)
-    out = np.exp(np.log(t.deltas[np.asarray(i)]) - log_den)
-    if np.isscalar(n) and np.isscalar(i) and np.isscalar(j):
-        return float(np.asarray(out).reshape(()))
-    return out
-
-
 def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     """Per-bit log-ratios from per-symbol log-weights: the bit marginaliser.
 
@@ -90,7 +63,8 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     ----------
     logw : array, shape (..., M)
         Unnormalised log-weight of each symbol hypothesis; a common offset
-        cancels.
+        cancels. -inf (weight 0) is allowed; a bit whose 1-side (0-side)
+        weights are all -inf clamps to +LAPPR_CLAMP (-LAPPR_CLAMP).
     c : Constellation
         Supplies the bit labeling.
     alpha : float

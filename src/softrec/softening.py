@@ -16,6 +16,7 @@ per region is a free design choice; both pieces share the Jacobian
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,18 +49,20 @@ class MonotonicityConfig:
     ----------
     signs : tuple of int
         One entry per decision region; +1 for an increasing piece, -1 for a
-        decreasing one.
+        decreasing one. Each must be an integer (numpy's included), not a
+        bool or a float.
     """
 
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        signs = tuple(int(s) for s in self.signs)
-        object.__setattr__(self, "signs", signs)
+        signs = tuple(self.signs)
         if not signs:
             raise ValueError("signs must be non-empty")
-        if set(signs) - {1, -1}:
-            raise ValueError("signs entries must be +1 or -1")
+        for s in signs:
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s not in (1, -1):
+                raise ValueError(f"signs entries must be the integers +1 or -1, got {s!r}")
+        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
 
     @classmethod
     def base(cls, m: int) -> "MonotonicityConfig":

@@ -100,7 +100,15 @@ class TestArgumentHandling:
         assert not (tmp_path / "run_log.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["reconcile", "--snr", "nan"], ["mi-sweep", "--snr", "inf", "--schemes", "hard"]]
+        "argv",
+        [
+            ["reconcile", "--snr", "nan"],
+            ["mi-sweep", "--snr", "inf", "--schemes", "hard"],
+            # a range with a non-finite end is a usage error, not a traceback
+            ["mi-sweep", "--snr=0:inf:1", "--schemes", "hard"],
+            ["mi-sweep", "--snr=-inf:0:1", "--schemes", "hard"],
+            ["mi-sweep", "--snr=0:1:nan", "--schemes", "hard"],
+        ],
     )
     def test_non_finite_snr_rejected_before_echo(self, tmp_path, capsys, argv):
         assert run(argv + ["--out", str(tmp_path)]) == 2

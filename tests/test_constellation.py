@@ -136,6 +136,8 @@ class TestDecisionRegions:
     def test_rejects_nonpositive_variance(self, pam4):
         with pytest.raises(ValueError):
             map_decision_regions(pam4, 0.0)
+        with pytest.raises(ValueError, match="noise_variance must be finite and > 0"):
+            map_decision_regions(pam4, np.inf)
 
 
 class TestDecideDemap:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import reference_density
 from softrec.constellation import bit_partitions
 from softrec.infotheory import transition_matrix
 from softrec.metrics import (
     LAPPR_CLAMP,
-    joint_density_ratio_form,
     lappr_batch,
     log_joint_conditional_density,
 )
@@ -24,7 +24,7 @@ class TestJointConditionalDensity:
             for j in range(4):
                 for i in range(4):
                     a = np.exp(log_joint_conditional_density(n, i, j, t))
-                    b = joint_density_ratio_form(n, i, j, t)
+                    b = reference_density.joint_density_ratio_form(n, i, j, t)
                     np.testing.assert_allclose(a, b, rtol=1e-9)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3])

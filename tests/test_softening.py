@@ -49,6 +49,11 @@ class TestMonotonicityConfig:
             MonotonicityConfig(signs=(1, 0, 1, 1))
         with pytest.raises(ValueError):
             MonotonicityConfig(signs=())
+        for bad in ((1.5, -1, 1, -1), (True, -1, 1, -1)):
+            with pytest.raises(ValueError, match="signs entries must be the integers"):
+                MonotonicityConfig(signs=bad)
+        # numpy integers are integers
+        assert MonotonicityConfig(signs=tuple(np.array([1, -1]))).signs == (1, -1)
 
     def test_enumerate_counts(self):
         four = list(enumerate_configs(4))

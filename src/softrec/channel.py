@@ -92,10 +92,7 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
     if idx.size and (idx.min() < 0 or idx.max() >= ch.constellation.order):
         raise ValueError("symbol index out of range")
     clean = ch.constellation.points[idx]
-    noisy = clean + rng.normal(0.0, ch.sigma, size=idx.shape)
-    if idx.ndim == 0:
-        return float(noisy)
-    return noisy
+    return _shaped(idx, clean + rng.normal(0.0, ch.sigma, size=idx.shape))
 
 
 def _checked(y, name: str) -> np.ndarray:

@@ -39,6 +39,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -105,14 +106,15 @@ _COMMON_KEYS = ("constellation", "snr", "out", "seed", "log_level")
 def _typed(key: str, value):
     """A config-file value converted with its option's type, as a flag is.
 
-    A str option keeps the value as read. A numeric option rejects a bool,
-    and an int option a non-integral number, so 2.7 is an error, not 2.
+    A str option keeps text, a number or null as read and rejects a bool,
+    list or mapping. A numeric option rejects a bool, and an int option a
+    non-integral number, so 2.7 is an error, not 2.
     """
     kind = _OPTIONS[key][1]
-    if kind is str:
+    if kind is str and (value is None or type(value) in (str, int, float)):
         return value
     try:
-        typed = None if isinstance(value, bool) else kind(value)
+        typed = None if isinstance(value, bool) or kind is str else kind(value)
     except (TypeError, ValueError, OverflowError):
         typed = None
     if typed is None or (kind is int and isinstance(value, float) and typed != value):
@@ -151,8 +153,6 @@ def _parse_snr(text) -> tuple:
     """Grid syntax: 'start:stop:step' (inclusive), 'a,b,c', or a single value."""
     if text is None:
         raise ValueError("--snr is required")
-    if isinstance(text, (int, float)):
-        return (float(text),)
     s = str(text).strip()
     if ":" in s:
         parts = s.split(":")
@@ -236,8 +236,8 @@ def _spec(resolved: dict) -> ExperimentSpec:
 
 
 def _out_dir(resolved: dict) -> Path:
-    out = resolved["out"] or os.environ.get("SOFTREC_OUTDIR") or "."
-    path = Path(out)
+    out = resolved["out"]
+    path = Path(str(out) if out not in (None, "") else os.environ.get("SOFTREC_OUTDIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -449,8 +449,8 @@ def _cmd_reconcile(resolved: dict) -> int:
 def _cmd_codegen(resolved: dict) -> int:
     name = str(resolved["code"])
     text = to_alist(load_code(name))
-    if resolved["out"]:
-        path = Path(resolved["out"])
+    if resolved["out"] not in (None, ""):
+        path = Path(str(resolved["out"]))
         if path.is_dir():
             path = path / f"{name}.alist"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -526,6 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse reads a separate "-2:6:2" or "-2,0" as an option: bind it to --snr.
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--snr" and re.match(r"-[\d.]", argv[k]):
+            argv[k - 1 : k + 1] = ["--snr=" + argv[k]]
     args = build_parser().parse_args(argv)
     try:
         resolved = _resolve(args)

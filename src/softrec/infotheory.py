@@ -234,8 +234,8 @@ def _log_joint(n: np.ndarray, t: SofteningTransform) -> np.ndarray:
     """log f(n, i | j) at every metric node, shape (K, decision i, sent j),
     from one inverse over the K * M (node, decision) pairs."""
     i_all = np.arange(t.order)
-    y, _ = inverse_and_jacobian(n[:, None], i_all, t)
-    return _log_joint_from_y(y[:, :, None], i_all[:, None], i_all, t)
+    y, log_jac = inverse_and_jacobian(n[:, None], i_all, t)
+    return _log_joint_from_y(y[:, :, None], log_jac[:, :, None], i_all, t.channel)
 
 
 def mi_rrs(t: SofteningTransform, with_error: bool = False):

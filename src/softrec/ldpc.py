@@ -576,14 +576,12 @@ def load_code(source: str | Path) -> LdpcCode:
     per process and the same code object returned after that; callers must
     not modify its arrays.
     """
-    if isinstance(source, Path):
-        return parse_alist(source.read_text())
-    if "\n" in source:
+    if isinstance(source, str) and "\n" in source:
         return parse_alist(source)
     if source in PRESETS:
         return PRESETS[source]()
     p = Path(source)
-    if p.exists():
+    if p.is_file():
         return parse_alist(p.read_text())
     raise ValueError(
         f"unknown code source {source!r}: not a preset ({', '.join(sorted(PRESETS))}), "

@@ -7,8 +7,9 @@ hypothesis is
 
     f(n, i | j) = f_{Y|X}(g_i^{-1}(n) | a_j) / |g_i'(g_i^{-1}(n))|
 
-and the per-bit LAPPRs are built from these M numbers. All combination
-happens in log-domain; the raw Gaussian ratios underflow at high SNR.
+and the per-bit LAPPRs are built from these M numbers; the inverse returns
+log|g_i'| with y. All combination happens in log-domain; the raw Gaussian
+ratios underflow at high SNR.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
-from softrec.channel import log_output_density
+from softrec.channel import _LOG_SQRT_2PI, ChannelModel
 from softrec.constellation import Constellation, bit_partitions
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
@@ -31,17 +32,13 @@ __all__ = [
 # decision-relevant magnitude but keeps the decoder away from +-inf.
 LAPPR_CLAMP = 50.0
 
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
-
-def _log_joint_from_y(y, i, j, t: SofteningTransform):
-    """log f(n, i | j) given the already-inverted output y = g_i^{-1}(n)."""
-    ch = t.channel
-    a = ch.constellation.points
-    aj = a[np.asarray(j)]
+def _log_joint_from_y(y, log_jac, j, ch: ChannelModel):
+    """log f(n, i | j) = log f_{Y|X}(y | a_j) - log|g_i'(y)|, from the
+    y = g_i^{-1}(n) and log|g_i'| that ``inverse_and_jacobian`` returns."""
+    aj = ch.constellation.points[np.asarray(j)]
     log_fyx = -((y - aj) ** 2) / (2.0 * ch.noise_variance) - _LOG_SQRT_2PI - np.log(ch.sigma)
-    # 1 / |g'| = dF_i / f_Y(y)
-    return log_fyx - log_output_density(y, ch) + np.log(t.deltas[np.asarray(i)])
+    return log_fyx - log_jac
 
 
 def log_joint_conditional_density(n, i, j, t: SofteningTransform):
@@ -52,8 +49,8 @@ def log_joint_conditional_density(n, i, j, t: SofteningTransform):
     N_EPS), ``i`` (hypothesised decision) and ``j`` (sent symbol index).
     For fixed j its exp integrates to 1 over (n, i).
     """
-    y, _ = inverse_and_jacobian(n, i, t)
-    return _log_joint_from_y(y, i, j, t)
+    y, log_jac = inverse_and_jacobian(n, i, t)
+    return _log_joint_from_y(y, log_jac, j, t.channel)
 
 
 def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:

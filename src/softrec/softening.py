@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softrec.channel import ChannelModel, output_cdf, output_density, output_quantile
+from softrec.channel import ChannelModel, log_output_density, output_cdf, output_quantile
 from softrec.constellation import DecisionRegions, decide, map_decision_regions
 
 __all__ = [
@@ -219,15 +219,15 @@ def soften(y, t: SofteningTransform):
 
 
 def inverse_and_jacobian(n, i, t: SofteningTransform):
-    """Invert the i-th transform piece: (g_i^{-1}(n), |g_i'| at that point).
+    """Invert the i-th transform piece: (g_i^{-1}(n), log|g_i'| at that point).
 
     The one inverse of the piecewise transform, from one quantile solve;
-    broadcasts over ``n`` and ``i``. The Jacobian is f_Y(y) / dF_i for
-    increasing and decreasing pieces alike. ``n`` is clamped to
-    [N_EPS, 1 - N_EPS] first, so an endpoint of an unbounded edge region,
-    which would map to +-inf, saturates to the far tail instead. ``n``
-    outside [0, 1] or NaN, and a region index out of range, raise
-    ValueError.
+    broadcasts over ``n`` and ``i``. The Jacobian, f_Y(y) / dF_i for
+    increasing and decreasing pieces alike, comes in log form, finite where
+    f_Y(y) underflows. ``n`` is clamped to [N_EPS, 1 - N_EPS] first, so an
+    endpoint of an unbounded edge region, which would map to +-inf,
+    saturates to the far tail instead. ``n`` outside [0, 1] or NaN, and a
+    region index out of range, raise ValueError.
     """
     narr = np.asarray(n, dtype=float)
     iarr = np.asarray(i)
@@ -242,4 +242,4 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
     p = t.ref[iarr] + nc * t.mass[iarr]
     # Guard the open-interval requirement of the quantile against rounding.
     y = output_quantile(np.clip(p, 1e-300, 1.0 - 1e-16), t.channel)
-    return y, output_density(y, t.channel) / t.deltas[iarr]
+    return y, log_output_density(y, t.channel) - np.log(t.deltas[iarr])

@@ -137,6 +137,23 @@ class TestArgumentHandling:
     def test_snr_grammar(self, text, expect):
         assert cli._parse_snr(text) == expect
 
+    @pytest.mark.parametrize("value", ["-2:6:2", "-2,0", "-2", "-.5:0.5:0.5"])
+    def test_negative_snr_as_separate_argument(self, tmp_path, value):
+        # argparse alone reads "-2:6:2" after --snr as an option, not a value
+        for argv, name in (([f"--snr={value}"], "eq"), (["--snr", value], "sep")):
+            out = tmp_path / name
+            assert run(["mi-sweep", *argv, "--schemes", "hard", "--out", str(out)]) == 0
+            config = json.loads((out / "run_log.jsonl").read_text().splitlines()[0])
+            assert config["snr"] == value
+        assert (tmp_path / "sep" / "mi.csv").read_bytes() == (tmp_path / "eq" / "mi.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", [["codegen"], ["ber-sweep", "--snr", "1"]])
+    def test_code_directory_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert run([*command, "--code", str(tmp_path), "--out", str(out)]) == 2
+        assert "unknown code source" in capsys.readouterr().err
+        assert not (out / "run_log.jsonl").exists()
+
     def test_snr_step_sign(self):
         with pytest.raises(ValueError):
             cli._parse_snr("5:1:0.5")
@@ -187,13 +204,25 @@ class TestConfigFilePrecedence:
         "text, key",
         [("frames: 2.7", "frames"), ("seed: 1.9", "seed"), ("seed: true", "seed"),
          ("workers: null", "workers"), ("max_iters: [5]", "max_iters"),
-         ("alpha: false", "alpha"), ("alpha: fast", "alpha")],
+         ("alpha: false", "alpha"), ("alpha: fast", "alpha"),
+         ("out: true", "out"), ("out: [a]", "out"), ("out: {a: 1}", "out"),
+         ("schemes: [direct]", "schemes"), ("code: {a: 1}", "code"), ("configs: true", "configs")],
     )
     def test_file_value_of_wrong_type_rejected(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"snr: 6\n{text}\n")
         assert run(["ber-sweep", "--config-file", str(cfg), "--out", str(tmp_path)]) == 2
         assert f"config key {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize("number", ["5", "0"])
+    def test_file_number_for_out_is_the_directory_name(self, tmp_path, monkeypatch, number):
+        # out: 5 in a file writes where --out 5 does, not a TypeError; 0 too
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.yaml").write_text(f"snr: 0\nout: {number}\nschemes: hard\n")
+        assert run(["mi-sweep", "--config-file", "run.yaml"]) == 0
+        assert run(["mi-sweep", "--snr", "0", "--schemes", "hard", "--out", "flag"]) == 0
+        assert (tmp_path / number / "mi.csv").read_bytes() == (tmp_path / "flag" / "mi.csv").read_bytes()
 
     def test_file_values_take_the_option_type(self, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -352,6 +381,14 @@ class TestCodegenCommand:
 
         assert run(["codegen", "--code", "hamming74"]) == 0
         assert parse_alist(capsys.readouterr().out).n == 7
+
+    def test_number_out_from_config_file(self, tmp_path, monkeypatch):
+        from softrec.ldpc import parse_alist
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cg.yaml").write_text("code: hamming74\nout: 0\n")
+        assert run(["codegen", "--config-file", "cg.yaml"]) == 0
+        assert parse_alist((tmp_path / "0").read_text()).n == 7
 
 
 class TestAuditCommand:

@@ -121,6 +121,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown code source"):
             tiny_spec(code="no-such-preset")
 
+    def test_rejects_code_directory_at_build(self, tmp_path):
+        # a directory is not an alist file: a usage error, not IsADirectoryError
+        with pytest.raises(ValueError, match="unknown code source"):
+            tiny_spec(code=str(tmp_path))
+
     def test_scheme_catalog(self):
         assert SCHEMES == ("direct", "hard", "rrs")
         assert MI_TARGETS == (1.75, 1.0, 0.75, 0.3, 0.1, 0.01)

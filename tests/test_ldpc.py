@@ -477,6 +477,8 @@ class TestLoadCode:
     def test_each_source_built_once(self):
         assert load_code("hamming74") is load_code("hamming74")
 
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            load_code("no-such-preset")
+    def test_unknown_source_rejected(self, tmp_path):
+        # a directory, named by str or Path, is not an alist file
+        for source in ("no-such-preset", tmp_path, str(tmp_path)):
+            with pytest.raises(ValueError, match="unknown code source"):
+                load_code(source)

@@ -216,29 +216,56 @@ class TestJacobian:
         n = np.array([0.15, 0.4, 0.65, 0.9])
         for i in range(4):
             ii = np.full(4, i)
-            _, jac = inverse_and_jacobian(n, ii, t)
+            _, log_jac = inverse_and_jacobian(n, ii, t)
+            assert np.all(np.isfinite(log_jac))
             h = 1e-7
             up, _ = inverse_and_jacobian(n + h, ii, t)
             down, _ = inverse_and_jacobian(n - h, ii, t)
-            np.testing.assert_allclose(jac, 1.0 / np.abs((up - down) / (2 * h)), rtol=1e-4)
-            assert np.all(jac > 0)
+            np.testing.assert_allclose(
+                np.exp(log_jac), 1.0 / np.abs((up - down) / (2 * h)), rtol=1e-4
+            )
 
     def test_inverse_and_jacobian_agrees(self, ch4_0db, t_alt):
         # the inverse lands in region i, and both pieces share the Jacobian
         # f_Y(y) / dF_i, whatever their sign
         n = np.array([0.2, 0.8])
         i = np.array([0, 1])
-        y, jac = inverse_and_jacobian(n, i, t_alt)
+        y, log_jac = inverse_and_jacobian(n, i, t_alt)
         np.testing.assert_array_equal(decide(y, t_alt.regions), i)
-        np.testing.assert_allclose(jac, output_density(y, ch4_0db) / t_alt.deltas[i], rtol=1e-12)
+        np.testing.assert_allclose(
+            np.exp(log_jac), output_density(y, ch4_0db) / t_alt.deltas[i], rtol=1e-12
+        )
+
+    @given(
+        order=st.sampled_from([2, 4, 8]),
+        log_var=st.floats(np.log(1e-2), np.log(1e2)),
+        data=st.data(),
+        n=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_log_jacobian_is_log_density_over_mass(self, order, log_var, data, n):
+        # log|g_i'| = log f_Y(y) - log dF_i at every decision, both ends of n
+        # included. The atol covers log|g_i'| near 0, where a last-bit
+        # difference between the two logs (about 4e-16) is no longer small
+        # relative to the value.
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=order, max_size=order))
+        t = build_transform(
+            ChannelModel(pam(order), float(np.exp(log_var))), MonotonicityConfig(tuple(signs))
+        )
+        ns = np.array([0.0, 1.0] + n)[:, None]
+        i = np.arange(order)
+        y, log_jac = inverse_and_jacobian(ns, i, t)
+        assert np.all(np.isfinite(log_jac))
+        expect = np.log(output_density(y, t.channel)) - np.log(t.deltas[i])
+        np.testing.assert_allclose(log_jac, expect, rtol=1e-12, atol=1e-14)
 
 
 class TestTailSaturation:
     def test_endpoint_of_unbounded_region_saturates(self, t_base):
         # n = 0 on the lowest region would map to -inf; the clamp holds it
         # at n = N_EPS instead
-        y, jac = inverse_and_jacobian(0.0, 0, t_base)
-        assert np.isfinite(y) and jac > 0
+        y, log_jac = inverse_and_jacobian(0.0, 0, t_base)
+        assert np.isfinite(y) and np.isfinite(log_jac) and np.exp(log_jac) > 0
         assert y == inverse_and_jacobian(N_EPS, 0, t_base)[0]
 
     def test_rejects_out_of_range_inputs(self, t_base):

@@ -38,7 +38,7 @@ QUANTILE_TOL = 1e-12
 _MAX_NEWTON = 200
 # Grid points of the quantile solve's start.
 _GRID = 256
-# Points per block of the start's curve evaluation.
+# Points per block of the quantile solve.
 _BLOCK = 8192
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -236,8 +236,7 @@ def output_quantile(p, ch: ChannelModel):
       Hermite curve interpolates y(u) with the exact slope phi(u) / f_Y(y),
       and a point starts at y(v) for its own normal score
       v = Phi^{-1}(p) (or -Phi^{-1}(1 - p) where p > 1/2). The curve
-      (``_hermite``) returns the bits of scipy's CubicHermiteSpline, and it
-      is evaluated in blocks of ``_BLOCK`` points.
+      (``_hermite``) returns the bits of scipy's CubicHermiteSpline.
     - Bracket. Each a_j lies in [a_0, a_{M-1}], so
       Phi((y - a_{M-1}) / sigma) <= F_Y(y) <= Phi((y - a_0) / sigma), and
       the same holds for P(Y > y), mirrored. So every point's bracket is
@@ -252,8 +251,12 @@ def output_quantile(p, ch: ChannelModel):
     |F_Y(y) - p| <= 2 * QUANTILE_TOL * min(p, 1 - p) or a machine-width
     bracket. Most points stop after one Newton step, on the second pass.
     Points still unsolved after ``_MAX_NEWTON`` iterations are returned as
-    they stand, with a ``QuantileWarning`` giving their count and worst
-    relative residual.
+    they stand, with one ``QuantileWarning`` per call giving their count
+    and worst relative residual.
+
+    Only the grid and the curve are built per call; all the rest runs to
+    completion on one block of ``_BLOCK`` points before the next, so the
+    working arrays fit the cache. Every step is elementwise: no bit moves.
 
     Parameters
     ----------
@@ -273,15 +276,6 @@ def output_quantile(p, ch: ChannelModel):
         return np.empty(arr.shape)
     pv = arr.reshape(-1)
 
-    # Solve on whichever tail is well conditioned for each element: the
-    # upper one (sgn = -1) where p > 1/2, where 1 - p is exact (Sterbenz), so
-    # the given value is never degraded. _cdf(y, ch, -1) is the survival
-    # function, and sgn * (_cdf(y, ch, sgn) - target) increases in y on both
-    # tails. The points a_j increase, so a_min = a_0 and a_max = a_{M-1}.
-    upper = pv > 0.5
-    sgn = np.where(upper, -1.0, 1.0)
-    target = np.where(upper, 1.0 - pv, pv)
-
     pts, priors = ch.constellation.points, ch.constellation.priors
     sig = ch.sigma
 
@@ -294,15 +288,12 @@ def output_quantile(p, ch: ChannelModel):
             dens += _phi_term(w, z)
         return sgn * (tail - target), dens / (np.sqrt(2.0 * np.pi) * sig)
 
-    # The bracket (see above) has residual(lo) <= 0 <= residual(hi) on both
-    # tails; it is zero wide for a one-point constellation.
-    v = sgn * ndtri(target)
-    lo = pts[0] + sig * v
-    hi = pts[-1] + sig * v
-
     # The Hermite curve through the grid's normal scores. A flat stretch of
     # the CDF repeats a score, and a saturated tail gives an infinite one;
-    # the curve keeps the points where the score is finite and rises.
+    # the curve keeps the points where the score is finite and rises. Where
+    # the density underflows between points at small sigma, slopes near
+    # 1e300 can overflow a segment's coefficients; its points start at NaN
+    # and are mended after the clip.
     grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _GRID)
     cdf = _cdf(grid, ch)
     sf = _cdf(grid, ch, -1.0)
@@ -311,79 +302,84 @@ def output_quantile(p, ch: ChannelModel):
         slope = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_output_density(grid, ch))
     rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
     usable = rising & np.isfinite(u) & np.isfinite(slope)
-    # The start runs in blocks, so its temporaries are small and come back
-    # from the heap instead of faulting in fresh pages. Where the density
-    # underflows between points at small sigma, slopes near 1e300 can
-    # overflow a segment's coefficients; its points start at NaN and are
-    # mended after the clip.
     knots = u[usable]
-    y = np.empty_like(pv)
     with np.errstate(over="ignore", invalid="ignore"):
         coef = _hermite(knots, grid[usable], slope[usable])
-        for a in range(0, pv.size, _BLOCK):
-            b = slice(a, a + _BLOCK)
-            y[b] = _hermite_eval(coef, knots, v[b])
-    del v
 
-    # Past the grid, the edge point's own Gaussian tail holds nearly all the
-    # mass: y = a_edge + sgn * sigma * Phi^{-1}(target / P_edge), where the
-    # edge point is the first (lower tail) or the last (upper tail).
-    past = np.where(upper, target <= sf[-1], target < cdf[0])
-    a_edge = np.where(upper[past], pts[-1], pts[0])
-    p_edge = np.where(upper[past], priors[-1], priors[0])
-    y[past] = a_edge + sgn[past] * sig * ndtri(np.minimum(target[past] / p_edge, 1.0))
-
-    y = np.clip(y, lo, hi)
-    # A NaN start would become a bracket edge on the first pass; start such a
-    # point at its bracket's middle instead.
-    nan = np.isnan(y)
-    y[nan] = 0.5 * (lo[nan] + hi[nan])
-
-    # Active set: idx holds the unsolved points, and the working arrays hold
-    # only their rows. Rebinding the names lets the full-size arrays go.
     out = np.empty_like(pv)
-    idx = np.arange(pv.size)
-    for _ in range(_MAX_NEWTON):
-        if not idx.size:
-            break
-        r, f = residual(y, sgn, target)
-        # Tighten the bracket from the current iterate.
-        below = r < 0
-        lo = np.where(below, y, lo)
-        hi = np.where(below, hi, y)
-        # Relative to the chosen tail's mass, which is at most 1/2.
-        done = np.abs(r) <= 2.0 * QUANTILE_TOL * target
-        # Machine-limited: the bracket cannot shrink further.
-        done |= (hi - lo) <= np.spacing(np.maximum(np.abs(lo), np.abs(hi))) * 4
-        out[idx[done]] = y[done]
-        keep = ~done
-        # Step every row, then compact. Freeing the step's temporaries before
-        # the compacted copies are made keeps peak resident memory within
-        # about 1 MB of the full-array solve's on a 129,600-point frame
-        # (4-8 MB more when they stay alive).
-        trial = y - r / np.maximum(f, 1e-300)
-        # A correction under half a spacing of y leaves y where it is, and
-        # bisecting from there would throw the point away from its root. The
-        # root then lies within a spacing, so step one spacing toward it: the
-        # bracket closes to machine width on the next pass.
-        stuck = trial == y
-        trial[stuck] = np.nextafter(y[stuck], np.where(r[stuck] < 0, np.inf, -np.inf))
-        del r, f
-        fallback = (trial <= lo) | (trial >= hi) | ~np.isfinite(trial)
-        y = np.where(fallback, 0.5 * (lo + hi), trial)
-        del trial, fallback
-        idx, y, lo, hi, sgn, target = (a[keep] for a in (idx, y, lo, hi, sgn, target))
-    if idx.size:
-        out[idx] = y
-        worst = np.max(np.abs(residual(y, sgn, target)[0]) / target)
+    unsolved, worst = 0, 0.0
+    for start in range(0, pv.size, _BLOCK):
+        pb = pv[start : start + _BLOCK]
+        # Solve on whichever tail is well conditioned for each element: the
+        # upper one (sgn = -1) where p > 1/2, where 1 - p is exact
+        # (Sterbenz), so the given value is never degraded. _cdf(y, ch, -1)
+        # is the survival function, and sgn * (_cdf(y, ch, sgn) - target)
+        # increases in y on both tails. The points a_j increase, so
+        # a_min = a_0 and a_max = a_{M-1}.
+        upper = pb > 0.5
+        sgn = np.where(upper, -1.0, 1.0)
+        target = np.where(upper, 1.0 - pb, pb)
+
+        # The bracket (see above) has residual(lo) <= 0 <= residual(hi) on
+        # both tails; it is zero wide for a one-point constellation.
+        v = sgn * ndtri(target)
+        lo = pts[0] + sig * v
+        hi = pts[-1] + sig * v
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _hermite_eval(coef, knots, v)
+
+        # Far tail (see above): the first point's below the grid, the last's
+        # above it.
+        past = np.where(upper, target <= sf[-1], target < cdf[0])
+        a_edge = np.where(upper[past], pts[-1], pts[0])
+        p_edge = np.where(upper[past], priors[-1], priors[0])
+        y[past] = a_edge + sgn[past] * sig * ndtri(np.minimum(target[past] / p_edge, 1.0))
+
+        y = np.clip(y, lo, hi)
+        # A NaN start would become a bracket edge on the first pass; start
+        # such a point at its bracket's middle instead.
+        nan = np.isnan(y)
+        y[nan] = 0.5 * (lo[nan] + hi[nan])
+
+        # Active set: idx holds the unsolved points' places in out, and the
+        # working arrays hold only their rows.
+        idx = np.arange(start, start + pb.size)
+        for _ in range(_MAX_NEWTON):
+            if not idx.size:
+                break
+            r, f = residual(y, sgn, target)
+            # Tighten the bracket from the current iterate.
+            below = r < 0
+            lo = np.where(below, y, lo)
+            hi = np.where(below, hi, y)
+            # Relative to the chosen tail's mass, which is at most 1/2.
+            done = np.abs(r) <= 2.0 * QUANTILE_TOL * target
+            # Machine-limited: the bracket cannot shrink further.
+            done |= (hi - lo) <= np.spacing(np.maximum(np.abs(lo), np.abs(hi))) * 4
+            out[idx[done]] = y[done]
+            keep = ~done
+            trial = y - r / np.maximum(f, 1e-300)
+            # A correction under half a spacing of y leaves y where it is,
+            # and bisecting from there would throw the point away from its
+            # root. The root then lies within a spacing, so step one spacing
+            # toward it: the bracket closes to machine width on the next
+            # pass.
+            stuck = trial == y
+            trial[stuck] = np.nextafter(y[stuck], np.where(r[stuck] < 0, np.inf, -np.inf))
+            fallback = (trial <= lo) | (trial >= hi) | ~np.isfinite(trial)
+            y = np.where(fallback, 0.5 * (lo + hi), trial)
+            idx, y, lo, hi, sgn, target = (a[keep] for a in (idx, y, lo, hi, sgn, target))
+        if idx.size:
+            out[idx] = y
+            unsolved += idx.size
+            worst = np.maximum(worst, np.max(np.abs(residual(y, sgn, target)[0]) / target))
+    if unsolved:
         warnings.warn(
-            f"output_quantile: {idx.size} of {pv.size} points unsolved after "
+            f"output_quantile: {unsolved} of {pv.size} points unsolved after "
             f"{_MAX_NEWTON} Newton iterations; worst |F - p| / min(p, 1 - p) "
             f"= {worst:.3g}",
             QuantileWarning,
             stacklevel=2,
         )
 
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _shaped(arr, out.reshape(arr.shape))

@@ -23,11 +23,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, ndtr, xlogy
+from scipy.special import ndtr, xlogy
 
 from softrec.channel import ChannelModel, output_density
 from softrec.constellation import map_decision_regions
-from softrec.metrics import _log_joint_from_y
+from softrec.metrics import _log_joint_from_y, _logsumexp
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
 __all__ = [
@@ -253,7 +253,7 @@ def mi_rrs(t: SofteningTransform, with_error: bool = False):
     def integrand(n: np.ndarray) -> np.ndarray:
         logf = _log_joint(n, t)
         # Marginal over the decision hypothesis, per sent symbol.
-        logz = logsumexp(logf, axis=1, keepdims=True)
+        logz = _logsumexp(logf, axis=1, keepdims=True)
         return np.sum(np.exp(logf) * (logf - logz), axis=1) / _LN2
 
     res, err = _integrate(integrand, (0.0, 1.0), "rrs-MI", 1e-5)
@@ -281,9 +281,9 @@ def leakage(t: SofteningTransform) -> float:
     def integrand(n: np.ndarray) -> np.ndarray:
         logf = _log_joint(n, t)
         # log f_{N|Xhat}(n | i) = log sum_j P_j f(n, i | j) - log dF_i
-        log_cond = logsumexp(logf + log_priors, axis=2) - log_df
+        log_cond = _logsumexp(logf + log_priors, axis=2) - log_df
         # log f_N(n) = log sum_i dF_i f_{N|Xhat}(n | i)
-        log_mix = logsumexp(log_df + log_cond, axis=1, keepdims=True)
+        log_mix = _logsumexp(log_df + log_cond, axis=1, keepdims=True)
         return np.exp(log_cond) * (log_cond - log_mix) / _LN2
 
     res, _ = _integrate(integrand, (0.0, 1.0), "leakage", 1e-6)

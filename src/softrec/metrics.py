@@ -15,7 +15,6 @@ ratios underflow at high SNR.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from softrec.channel import _LOG_SQRT_2PI, ChannelModel
 from softrec.constellation import Constellation, bit_partitions
@@ -31,6 +30,25 @@ __all__ = [
 # Clamp for LAPPR magnitudes (natural-log units). Far above any
 # decision-relevant magnitude but keeps the decoder away from +-inf.
 LAPPR_CLAMP = 50.0
+
+
+def _logsumexp(a, axis=-1, keepdims=False):
+    """log(sum(exp(a))) over ``axis`` with the bits of scipy's ``logsumexp``
+    for real input: log1p(s) + log(m) + a_max, where m counts the maxima and s
+    sums exp(a - a_max) over the rest, divided by m unless 0. Where that is not
+    finite, log(sum(exp(a))), which scipy computes on every call."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        top = a == a_max
+        m = np.sum(top, axis=axis, keepdims=True)
+        e = a - a_max
+        e[top] = -np.inf
+        s = np.sum(np.exp(e, out=e), axis=axis, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _log_joint_from_y(y, log_jac, j, ch: ChannelModel):
@@ -61,7 +79,8 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     logw : array, shape (..., M)
         Unnormalised log-weight of each symbol hypothesis; a common offset
         cancels. -inf (weight 0) is allowed; a bit whose 1-side (0-side)
-        weights are all -inf clamps to +LAPPR_CLAMP (-LAPPR_CLAMP).
+        weights are all -inf clamps to +LAPPR_CLAMP (-LAPPR_CLAMP). A NaN,
+        or a bit with both sides all -inf (or both +inf), raises ValueError.
     c : Constellation
         Supplies the bit labeling.
     alpha : float
@@ -70,17 +89,19 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     Returns
     -------
     ndarray, shape (..., L)
-        alpha * (logsumexp over the symbols whose bit l is 0 - logsumexp
-        over those whose bit l is 1), clamped to +-LAPPR_CLAMP.
+        alpha * (``_logsumexp`` over the symbols whose bit l is 0 -
+        ``_logsumexp`` over those whose bit l is 1), clamped to +-LAPPR_CLAMP.
     """
     nbits = c.bits_per_symbol
     out = np.empty(logw.shape[:-1] + (nbits,), dtype=float)
     for l in range(nbits):
         zeros, ones = bit_partitions(c, l)
-        l0 = logsumexp(logw[..., zeros], axis=-1)
-        l1 = logsumexp(logw[..., ones], axis=-1)
-        with np.errstate(over="ignore"):
+        l0 = _logsumexp(logw[..., zeros])
+        l1 = _logsumexp(logw[..., ones])
+        with np.errstate(over="ignore", invalid="ignore"):
             out[..., l] = alpha * (l0 - l1)
+    if np.isnan(out).any():
+        raise ValueError("bit_lapprs: a log-weight row holds a NaN or leaves a bit no ratio")
     np.clip(out, -LAPPR_CLAMP, LAPPR_CLAMP, out=out)
     return out
 
@@ -93,7 +114,8 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     n : array, shape (S,)
         Disclosed metrics, in [0, 1].
     j : int array, shape (S,)
-        The sender's own symbol indices.
+        The sender's own symbol indices: integers (not bool) in [0, M), one
+        per slot of ``n``.
     t : SofteningTransform
     alpha : float
         Multiplicative scaling applied before clamping; finite and > 0,
@@ -109,11 +131,12 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     """
     if not 0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    narr = np.asarray(n, dtype=float)
     jarr = np.asarray(j)
+    if jarr.dtype.kind not in "iu" or jarr.shape != narr.shape:
+        raise ValueError(f"j must be integer indices shaped like n, got {jarr.dtype} {jarr.shape}")
     if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
         raise ValueError("symbol index out of range")
     # One vectorized quantile solve covers all M decision hypotheses.
-    logf = log_joint_conditional_density(
-        np.asarray(n, dtype=float)[..., None], np.arange(t.order), jarr[..., None], t
-    )
+    logf = log_joint_conditional_density(narr[..., None], np.arange(t.order), jarr[..., None], t)
     return bit_lapprs(logf, t.channel.constellation, alpha)

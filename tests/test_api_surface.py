@@ -87,6 +87,26 @@ def _bound_names(node):
     return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_logsumexp_has_one_route(module):
+    # metrics._logsumexp gives scipy's bits in plain numpy, without scipy's
+    # array-API wrapper and its second full pass; the package reaches
+    # log-sum-exp only through it
+    tree = ast.parse((Path(softrec.__file__).parent / f"{module}.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy")
+        for alias in node.names
+    ]
+    called = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "logsumexp"
+    ]
+    assert "logsumexp" not in imported + called
+
+
 @pytest.mark.parametrize(
     "statement, absent",
     [

@@ -177,13 +177,13 @@ def _channel(priors, log_var):
     return ChannelModel(pam(4, priors=priors), 10.0**log_var)
 
 
-def _probabilities(lowest, upper_floor):
+def _probabilities(lowest, upper_floor, max_size=16):
     """Lists of p, log-spaced from 10**lowest up to 1/2 in the lower tail and
     from 1/2 up to 1 - 10**upper_floor in the upper one."""
     one = st.tuples(
         st.floats(min_value=lowest, max_value=float(np.log10(0.5))), st.booleans()
     ).map(lambda e: 1.0 - 10.0 ** max(e[0], upper_floor) if e[1] else 10.0 ** e[0])
-    return st.lists(one, min_size=1, max_size=16).map(np.array)
+    return st.lists(one, min_size=1, max_size=max_size).map(np.array)
 
 
 # Below sigma^2 = 1e-4 one spacing of y near the points moves a far-tail
@@ -299,6 +299,31 @@ class TestQuantileSolver:
         assert output_cdf(y[1], ch) == pytest.approx(0.3, rel=1e-11)
         assert softrec.QuantileWarning is QuantileWarning
         assert issubclass(QuantileWarning, RuntimeWarning)
+
+    @given(_probabilities(-300.0, -16.0, max_size=20), _CHANNELS)
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_are_invisible(self, p, ch):
+        # Each block runs the whole solve on its own points; with blocks of
+        # 3, a call of up to 20 points spans up to 7 of them.
+        whole = output_quantile(p, ch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(channel, "_BLOCK", 3)
+            blocked = output_quantile(p, ch)
+        assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
+
+    def test_one_warning_over_all_blocks(self, pam4, monkeypatch):
+        # Blocks of 3 split the five points 3 + 2; the 0.3s stay unsolved
+        # in both blocks, and the call warns once with the summed count.
+        monkeypatch.setattr(channel, "_BLOCK", 3)
+        monkeypatch.setattr(channel, "_MAX_NEWTON", 1)
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            output_quantile(np.array([1e-200, 0.3, 0.3, 0.3, 1e-200]), ch)
+        assert [w.category for w in caught] == [QuantileWarning]
+        assert str(caught[0].message).startswith(
+            "output_quantile: 3 of 5 points unsolved after 1 Newton iterations"
+        )
 
     @pytest.mark.parametrize(
         "log_var, p",

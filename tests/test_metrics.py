@@ -4,13 +4,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 import reference_density
 from softrec.constellation import bit_partitions
 from softrec.infotheory import transition_matrix
 from softrec.metrics import (
     LAPPR_CLAMP,
+    _logsumexp,
+    bit_lapprs,
     lappr_batch,
     log_joint_conditional_density,
 )
@@ -112,3 +118,66 @@ class TestLappr:
         for bad in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 lappr_batch([0.5], [0], t_base, alpha=bad)
+        # j is one integer symbol index per slot of n: a shorter j would
+        # broadcast j[0] to every slot, and a float or bool j would fail as
+        # an index deep in the density
+        for bad_j in ([1], [1, 2, 3, 0], [1.0, 2.0, 0.0], [True, False, True], [[1, 2, 0]]):
+            with pytest.raises(ValueError, match="j must be integer indices shaped like n"):
+                lappr_batch([0.3, 0.4, 0.5], bad_j, t_base)
+
+
+class TestBitLapprs:
+    def test_rejects_rows_without_a_ratio(self, pam4):
+        # a row of -inf, a row with a NaN or a row of +inf leaves every bit
+        # without a ratio: ValueError, with no "invalid value" warning first
+        for row in ([-np.inf] * 4, [0.0, np.nan, 1.0, 2.0], [np.inf] * 4):
+            logw = np.array([[0.0, 1.0, 2.0, 3.0], row])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="bit_lapprs: a log-weight row holds a NaN or leaves a bit no ratio"):
+                    bit_lapprs(logw, pam4)
+
+    def test_one_empty_side_clamps(self, pam4):
+        # the 1-side (0-side) of a bit all -inf saturates at +clamp (-clamp)
+        zeros, ones = bit_partitions(pam4, 0)
+        logw = np.zeros((2, 4))
+        logw[0, list(ones)] = -np.inf
+        logw[1, list(zeros)] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bit_lapprs(logw, pam4)
+        assert got[:, 0].tolist() == [LAPPR_CLAMP, -LAPPR_CLAMP]
+
+
+@st.composite
+def _logsumexp_cases(draw):
+    """(a, axis, keepdims): a 3-D array with 1 to 8 entries on the summed
+    axis; values repeat (ties), include -inf (+inf and NaNs of either sign
+    too, where scipy's result is its log(sum(exp(a))) form), can fill a
+    whole row with -inf, and spread past the 700 where exp over- and
+    underflows."""
+    axis = draw(st.sampled_from([-1, 1, 2]))
+    shape = [draw(st.integers(1, 3)) for _ in range(3)]
+    shape[axis] = draw(st.integers(1, 8))
+    spread = draw(st.sampled_from([1.0, 40.0, 750.0]))
+    value = st.floats(-spread, spread)
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    special = [-np.inf] + draw(st.sampled_from([[], [np.inf], [np.nan, -np.nan]]))
+    a = draw(hnp.arrays(float, shape, elements=st.one_of(value, st.sampled_from(pool + special))))
+    if draw(st.booleans()):
+        row = [draw(st.integers(0, n - 1)) for n in shape]
+        row[axis] = slice(None)
+        a[tuple(row)] = -np.inf
+    return a, axis, draw(st.booleans())
+
+
+@given(_logsumexp_cases())
+@settings(max_examples=300, deadline=None)
+def test_logsumexp_has_scipys_bits(case):
+    a, axis, keepdims = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a, axis=axis, keepdims=keepdims)
+    want = np.asarray(logsumexp(a, axis=axis, keepdims=keepdims))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

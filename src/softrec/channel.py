@@ -36,8 +36,9 @@ __all__ = [
 QUANTILE_TOL = 1e-12
 # Newton iterations before the solve gives up on a point and warns.
 _MAX_NEWTON = 200
-# Grid points of the quantile solve's start.
-_GRID = 256
+# Knots of the quantile solve's start, and buckets of its lookup table per knot.
+_KNOTS = 2048
+_BUCKETS_PER_KNOT = 4
 # Points per block of the quantile solve.
 _BLOCK = 8192
 
@@ -70,6 +71,17 @@ class ChannelModel:
     def sigma(self) -> float:
         """Noise standard deviation."""
         return float(np.sqrt(self.noise_variance))
+
+    @functools.cached_property
+    def _start(self) -> "_Start":
+        """The quantile solve's start, built on the first solve and kept on
+        this instance; pickles leave it out (``__getstate__``)."""
+        return _build_start(self)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_start", None)
+        return state
 
 
 def transmit(x, ch: ChannelModel, rng: np.random.Generator):
@@ -165,17 +177,28 @@ def output_density(y, ch: ChannelModel):
 
 
 def log_output_density(y, ch: ChannelModel):
-    """log f_Y(y), stable far into the tails where the density underflows."""
+    """log f_Y(y), stable far into the tails where the density underflows.
+
+    Two passes over the components, each holding one exponent
+    e_j = log P_j - z_j^2 / 2 at a time: the first folds their maximum,
+    the second recomputes each e_j and sums exp(e_j - max) in component
+    order."""
     arr = _checked(y, "log_output_density")
-    expo = []
-    for lw, (_, z) in zip(np.log(ch.constellation.priors), _components(arr, ch)):
-        z *= z
-        z *= -0.5
-        z += lw
-        expo.append(z)
-    top = functools.reduce(np.maximum, expo)
+    log_priors = np.log(ch.constellation.priors)
+
+    def exponents():
+        for lw, (_, z) in zip(log_priors, _components(arr, ch)):
+            z *= z
+            z *= -0.5
+            z += lw
+            yield z
+
+    it = exponents()
+    top = next(it)
+    for e in it:
+        np.maximum(top, e, out=top)
     total = np.zeros(arr.shape)
-    for e in expo:
+    for e in exponents():
         e -= top
         total += np.exp(e, out=e)
     out = top + np.log(total)
@@ -194,9 +217,9 @@ def output_cdf(y, ch: ChannelModel):
     return _shaped(arr, _cdf(arr, ch))
 
 
-# The cubic Hermite curve of the quantile start and of harness.snr_at_mi,
-# with the bits of scipy's CubicHermiteSpline (extrapolating): coefficients
-# as its __init__ computes them, and PPoly's power sum on PPoly's interval.
+# The cubic Hermite curve of harness.snr_at_mi, with the bits of scipy's
+# CubicHermiteSpline (extrapolating): coefficients as its __init__ computes
+# them, and PPoly's power sum on PPoly's interval.
 
 
 def _hermite(x, y, dydx) -> np.ndarray:
@@ -223,25 +246,140 @@ def _hermite_eval(coef, x, u) -> np.ndarray:
     return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
+def _quintic(x, y, d1, d2) -> np.ndarray:
+    """(6, n - 1) coefficients of the quintic Hermite curve through (x_k, y_k)
+    with first and second derivatives d1_k and d2_k, for strictly increasing
+    x; on interval i, row k multiplies (u - x_i)^(5 - k)."""
+    h = np.diff(x)
+    # What the quadratic from the left end misses at the right end, in
+    # value, slope and curvature.
+    a = y[1:] - y[:-1] - h * (d1[:-1] + 0.5 * h * d2[:-1])
+    b = h * (d1[1:] - d1[:-1] - h * d2[:-1])
+    c = h * h * (d2[1:] - d2[:-1])
+    return np.stack((
+        (6 * a - 3 * b + 0.5 * c) / h**5,
+        (-15 * a + 7 * b - c) / h**4,
+        (10 * a - 4 * b + 0.5 * c) / h**3,
+        0.5 * d2[:-1], d1[:-1], y[:-1],
+    ))
+
+
+@dataclass(eq=False)
+class _Start:
+    """The quantile start of one channel (see ``_build_start``): the quintic
+    y(u) through the knots' normal scores ``knots``, and a table of buckets
+    uniform in u, where ``first[b]`` is the index of the first knot in
+    bucket b (``first[-1]`` is the knot count). ``cdf_lo`` and ``sf_hi``
+    are the tail masses beyond the knots' outer ends. ``points`` counts the
+    points solved from it, and ``at_start`` those that met the tolerance on
+    their first residual pass, before any Newton step."""
+
+    knots: np.ndarray
+    coef: np.ndarray
+    first: np.ndarray
+    origin: float
+    scale: float
+    cdf_lo: float
+    sf_hi: float
+    points: int = 0
+    at_start: int = 0
+
+    def bucket(self, u: np.ndarray) -> np.ndarray:
+        """Bucket index of each u, clipped to the table. It never falls as u
+        rises, so the knots of earlier buckets lie below u and those of
+        later ones above it."""
+        b = u - self.origin
+        b *= self.scale
+        np.clip(b, 0, self.first.size - 2, out=b)
+        return b.astype(np.intp)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """The curve at v, on interval i = searchsorted(knots, v, "right") - 1
+        clipped to [0, n - 2], so past either end the end piece
+        extrapolates. The bucket of v holds the knots below it up to its own;
+        a bucket of at most one knot settles i with one comparison, and only
+        the points of fuller buckets are searched."""
+        b = self.bucket(v)
+        lo = self.first[b]
+        count = self.first[b + 1] - lo
+        i = lo - 1
+        i += (count > 0) & (np.take(self.knots, lo, mode="clip") <= v)
+        full = np.flatnonzero(count > 1)
+        i[full] = np.searchsorted(self.knots, v[full], "right") - 1
+        np.clip(i, 0, self.knots.size - 2, out=i)
+        c = np.take(self.coef, i, axis=1)
+        s = v - np.take(self.knots, i)
+        y = c[0]
+        for ck in c[1:]:
+            y *= s
+            y += ck
+        return y
+
+
+def _build_start(ch: ChannelModel) -> _Start:
+    """The start of ``output_quantile`` for channel ``ch``.
+
+    ``_KNOTS`` points y_k span [min a - 8 sigma, max a + 8 sigma] uniformly.
+    Each gets its normal score from one tail: u_k = Phi^{-1}(F_Y(y_k))
+    below the prior-weighted mean of the points and -Phi^{-1}(P(Y > y_k))
+    above it. The curve y(u) through them is quintic, with the exact
+    derivatives y' = phi(u) / f_Y(y) and y'' = y' (y' E[z | y] / sigma - u),
+    where z = (y - a) / sigma and E[z | y] is its mean under the posterior of
+    the sent point, so that d log f_Y / dy = -E[z | y] / sigma. A flat
+    stretch of the CDF repeats a score, and a saturated tail gives an
+    infinite one; the curve keeps the points where the score rises and the
+    score and both derivatives are finite. Where the density underflows
+    between points at small sigma, a segment's coefficients can overflow;
+    its points start at NaN.
+    """
+    pts, sig = ch.constellation.points, ch.sigma
+    grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _KNOTS)
+    split = np.searchsorted(grid, ch.constellation.priors @ pts)
+    cdf = _cdf(grid[:split], ch)
+    sf = _cdf(grid[split:], ch, -1.0)
+    u = np.concatenate((ndtri(cdf), -ndtri(sf)))
+    log_f = log_output_density(grid, ch)
+    # log sum_j P_j exp(-z_j^2 / 2), which normalises the posterior weights
+    log_norm = log_f + (_LOG_SQRT_2PI + np.log(sig))
+    mean_z = np.zeros(grid.shape)
+    for lw, (_, z) in zip(np.log(ch.constellation.priors), _components(grid, ch)):
+        mean_z += np.exp(lw - 0.5 * z * z - log_norm) * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_f)
+        d2 = d1 * (d1 * mean_z / sig - u)
+        rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
+        usable = rising & np.isfinite(u) & np.isfinite(d1) & np.isfinite(d2)
+        knots = u[usable]
+        coef = _quintic(knots, grid[usable], d1[usable], d2[usable])
+    buckets = _BUCKETS_PER_KNOT * knots.size
+    start = _Start(
+        knots, coef, np.empty(buckets + 1, dtype=np.int32), knots[0],
+        buckets / (knots[-1] - knots[0]), cdf[0], sf[-1],
+    )
+    start.first[0] = 0
+    np.cumsum(np.bincount(start.bucket(knots), minlength=buckets), out=start.first[1:])
+    return start
+
+
 def output_quantile(p, ch: ChannelModel):
     """Invert the output CDF: find y with F_Y(y) = p.
 
     Safeguarded Newton iteration with a per-element bisection bracket,
-    started from a grid that each call builds from the channel alone
-    (Hörmann & Leydold, ACM TOMACS 13(4), 2003):
+    started from a curve that each channel builds once, on its first solve,
+    and keeps (Hörmann & Leydold, ACM TOMACS 13(4), 2003):
 
-    - Start. 256 (``_GRID``) points y_k span [min a - 8 sigma,
-      max a + 8 sigma]. Each gets its normal score u_k = Phi^{-1}(F_Y(y_k))
-      on the lower half and -Phi^{-1}(P(Y > y_k)) on the upper half. A cubic
-      Hermite curve interpolates y(u) with the exact slope phi(u) / f_Y(y),
-      and a point starts at y(v) for its own normal score
-      v = Phi^{-1}(p) (or -Phi^{-1}(1 - p) where p > 1/2). The curve
-      (``_hermite``) returns the bits of scipy's CubicHermiteSpline.
+    - Start (``_build_start``). 2,048 (``_KNOTS``) points y_k, uniform over
+      [min a - 8 sigma, max a + 8 sigma], with their normal scores u_k. A
+      quintic Hermite curve interpolates y(u) with its exact first and
+      second derivatives, and a point starts at y(v) for its own normal
+      score v = Phi^{-1}(p) (or -Phi^{-1}(1 - p) where p > 1/2). A table of
+      buckets uniform in u finds each v's interval, with one comparison
+      where its bucket holds at most one knot.
     - Bracket. Each a_j lies in [a_0, a_{M-1}], so
       Phi((y - a_{M-1}) / sigma) <= F_Y(y) <= Phi((y - a_0) / sigma), and
       the same holds for P(Y > y), mirrored. So every point's bracket is
       [a_0 + sigma v, a_{M-1} + sigma v].
-    - Far tail. A point past the grid starts from the dominant edge
+    - Far tail. A point past the knots starts from the dominant edge
       component alone, y = a_min + sigma Phi^{-1}(p / P(a_min)), mirrored in
       the upper tail.
 
@@ -249,14 +387,17 @@ def output_quantile(p, ch: ChannelModel):
     solved; a solved point leaves it. Every step is elementwise, so a
     point's result depends only on (p, ch). A point terminates at
     |F_Y(y) - p| <= 2 * QUANTILE_TOL * min(p, 1 - p) or a machine-width
-    bracket. Most points stop after one Newton step, on the second pass.
-    Points still unsolved after ``_MAX_NEWTON`` iterations are returned as
-    they stand, with one ``QuantileWarning`` per call giving their count
-    and worst relative residual.
+    bracket. On PAM-2, -4 and -8 from -10 to 15 dB every point within the
+    knots meets the tolerance at its start, so one residual pass solves a
+    frame; the Newton steps and the density they need run on the rest, such
+    as far-tail points at low SNR. Points still
+    unsolved after ``_MAX_NEWTON`` iterations are returned as they stand,
+    with one ``QuantileWarning`` per call giving their count and worst
+    relative residual.
 
-    Only the grid and the curve are built per call; all the rest runs to
-    completion on one block of ``_BLOCK`` points before the next, so the
-    working arrays fit the cache. Every step is elementwise: no bit moves.
+    All but the start runs to completion on one block of ``_BLOCK`` points
+    before the next, so the working arrays fit the cache. Every step is
+    elementwise: no bit moves.
 
     Parameters
     ----------
@@ -278,38 +419,16 @@ def output_quantile(p, ch: ChannelModel):
 
     pts, priors = ch.constellation.points, ch.constellation.priors
     sig = ch.sigma
+    start = ch._start
 
-    def residual(y: np.ndarray, sgn: np.ndarray, target: np.ndarray):
-        """(residual, density) at y; z carries the sign, which z * z drops."""
-        tail = np.zeros(y.shape)
-        dens = np.zeros(y.shape)
-        for w, z in _components(y, ch, sgn):
-            tail += w * ndtr(z)
-            dens += _phi_term(w, z)
-        return sgn * (tail - target), dens / (np.sqrt(2.0 * np.pi) * sig)
-
-    # The Hermite curve through the grid's normal scores. A flat stretch of
-    # the CDF repeats a score, and a saturated tail gives an infinite one;
-    # the curve keeps the points where the score is finite and rises. Where
-    # the density underflows between points at small sigma, slopes near
-    # 1e300 can overflow a segment's coefficients; its points start at NaN
-    # and are mended after the clip.
-    grid = np.linspace(pts[0] - 8.0 * sig, pts[-1] + 8.0 * sig, _GRID)
-    cdf = _cdf(grid, ch)
-    sf = _cdf(grid, ch, -1.0)
-    u = np.where(cdf <= 0.5, ndtri(cdf), -ndtri(sf))
-    with np.errstate(over="ignore"):
-        slope = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_output_density(grid, ch))
-    rising = u > np.maximum.accumulate(np.concatenate(([-np.inf], u[:-1])))
-    usable = rising & np.isfinite(u) & np.isfinite(slope)
-    knots = u[usable]
-    with np.errstate(over="ignore", invalid="ignore"):
-        coef = _hermite(knots, grid[usable], slope[usable])
+    def residual(y: np.ndarray, sgn: np.ndarray, target: np.ndarray) -> np.ndarray:
+        """sgn * (tail mass at y - target), in each point's own tail."""
+        return sgn * (_cdf(y, ch, sgn) - target)
 
     out = np.empty_like(pv)
     unsolved, worst = 0, 0.0
-    for start in range(0, pv.size, _BLOCK):
-        pb = pv[start : start + _BLOCK]
+    for first in range(0, pv.size, _BLOCK):
+        pb = pv[first : first + _BLOCK]
         # Solve on whichever tail is well conditioned for each element: the
         # upper one (sgn = -1) where p > 1/2, where 1 - p is exact
         # (Sterbenz), so the given value is never degraded. _cdf(y, ch, -1)
@@ -326,11 +445,11 @@ def output_quantile(p, ch: ChannelModel):
         lo = pts[0] + sig * v
         hi = pts[-1] + sig * v
         with np.errstate(over="ignore", invalid="ignore"):
-            y = _hermite_eval(coef, knots, v)
+            y = start(v)
 
-        # Far tail (see above): the first point's below the grid, the last's
-        # above it.
-        past = np.where(upper, target <= sf[-1], target < cdf[0])
+        # Far tail (see above): the first point's below the knots, the
+        # last's above them.
+        past = np.where(upper, target <= start.sf_hi, target < start.cdf_lo)
         a_edge = np.where(upper[past], pts[-1], pts[0])
         p_edge = np.where(upper[past], priors[-1], priors[0])
         y[past] = a_edge + sgn[past] * sig * ndtri(np.minimum(target[past] / p_edge, 1.0))
@@ -343,22 +462,27 @@ def output_quantile(p, ch: ChannelModel):
 
         # Active set: idx holds the unsolved points' places in out, and the
         # working arrays hold only their rows.
-        idx = np.arange(start, start + pb.size)
-        for _ in range(_MAX_NEWTON):
+        idx = np.arange(first, first + pb.size)
+        for it in range(_MAX_NEWTON):
             if not idx.size:
                 break
-            r, f = residual(y, sgn, target)
-            # Tighten the bracket from the current iterate.
+            r = residual(y, sgn, target)
+            # Relative to the chosen tail's mass, which is at most 1/2.
+            met = np.abs(r) <= 2.0 * QUANTILE_TOL * target
+            if it == 0:
+                start.at_start += np.count_nonzero(met)
+            out[idx[met]] = y[met]
+            idx, y, lo, hi, sgn, target, r = (a[~met] for a in (idx, y, lo, hi, sgn, target, r))
+            # Tighten the bracket from the current iterate. Where it cannot
+            # shrink further, the point is machine-limited, and done too.
             below = r < 0
             lo = np.where(below, y, lo)
             hi = np.where(below, hi, y)
-            # Relative to the chosen tail's mass, which is at most 1/2.
-            done = np.abs(r) <= 2.0 * QUANTILE_TOL * target
-            # Machine-limited: the bracket cannot shrink further.
-            done |= (hi - lo) <= np.spacing(np.maximum(np.abs(lo), np.abs(hi))) * 4
+            done = (hi - lo) <= np.spacing(np.maximum(np.abs(lo), np.abs(hi))) * 4
             out[idx[done]] = y[done]
-            keep = ~done
-            trial = y - r / np.maximum(f, 1e-300)
+            idx, y, lo, hi, sgn, target, r = (a[~done] for a in (idx, y, lo, hi, sgn, target, r))
+            # The Newton step, on the rest.
+            trial = y - r / np.maximum(_density(y, ch), 1e-300)
             # A correction under half a spacing of y leaves y where it is,
             # and bisecting from there would throw the point away from its
             # root. The root then lies within a spacing, so step one spacing
@@ -368,11 +492,11 @@ def output_quantile(p, ch: ChannelModel):
             trial[stuck] = np.nextafter(y[stuck], np.where(r[stuck] < 0, np.inf, -np.inf))
             fallback = (trial <= lo) | (trial >= hi) | ~np.isfinite(trial)
             y = np.where(fallback, 0.5 * (lo + hi), trial)
-            idx, y, lo, hi, sgn, target = (a[keep] for a in (idx, y, lo, hi, sgn, target))
         if idx.size:
             out[idx] = y
             unsolved += idx.size
-            worst = np.maximum(worst, np.max(np.abs(residual(y, sgn, target)[0]) / target))
+            worst = np.maximum(worst, np.max(np.abs(residual(y, sgn, target)) / target))
+    start.points += pv.size
     if unsolved:
         warnings.warn(
             f"output_quantile: {unsolved} of {pv.size} points unsolved after "

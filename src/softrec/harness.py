@@ -43,7 +43,7 @@ from .constellation import Constellation, decide, demap, map_decision_regions
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
 from .metrics import bit_lapprs, lappr_batch
-from .softening import MonotonicityConfig, build_transform, soften
+from .softening import MonotonicityConfig, SofteningTransform, build_transform, soften
 
 __all__ = [
     "SCHEMES",
@@ -260,6 +260,8 @@ class _Cell:
     Built once per cell, before any frame runs; a worker task is
     ``(cell, frame_index)``. ``point`` and ``cfg_idx`` index the spec's grid
     and configs, and with the scheme they key each frame's seed substream.
+    An rrs cell also holds its softening transform, so its frames share the
+    channel's quantile start; other cells hold None there.
     """
 
     spec: ExperimentSpec
@@ -267,13 +269,18 @@ class _Cell:
     scheme: str
     cfg_idx: int = 0
     channel: ChannelModel = field(init=False)
+    transform: SofteningTransform | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         c = self.spec.constellation
         if not c.bitmap:
             raise ValueError("constellation has no bitmap; frames need one to map symbols to bits")
+        ch = ChannelModel(c, noise_variance_for_snr_db(self.snr_db, c))
+        object.__setattr__(self, "channel", ch)
         object.__setattr__(
-            self, "channel", ChannelModel(c, noise_variance_for_snr_db(self.snr_db, c))
+            self,
+            "transform",
+            build_transform(ch, self.spec.configs[self.cfg_idx]) if self.scheme == "rrs" else None,
         )
 
     @property
@@ -295,9 +302,8 @@ def _soft_inputs(cell: _Cell, x, y):
     ch = cell.channel
     c = ch.constellation
     if cell.scheme == "rrs":
-        transform = build_transform(ch, cell.spec.configs[cell.cfg_idx])
-        n, i = soften(y, transform)
-        return demap(i, c), lappr_batch(n, x, transform, alpha=cell.spec.alpha), n
+        n, i = soften(y, cell.transform)
+        return demap(i, c), lappr_batch(n, x, cell.transform, alpha=cell.spec.alpha), n
     if cell.scheme == "hard":
         regions = map_decision_regions(c, ch.noise_variance)
         return demap(decide(y, regions), c), hard_rr_lapprs(ch)[x], None

@@ -210,10 +210,20 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     update gives new c2v, and P becomes v2c + c2v, so later layers of the
     same sweep already see the update. The hard decision of P is tested
     against the target syndrome before the first sweep and after each full
-    sweep over the layers, stopping early on a match. Check updates use the
-    numerically safe tanh/atanh form with the product magnitude clamped to
-    1 - 1e-12; a check whose target syndrome bit is 1 negates its outgoing
-    messages.
+    sweep over the layers, stopping early on a match; each test takes the
+    first layer's checks first, and the whole syndrome only when they all
+    match. Check updates use the numerically safe tanh/atanh form
+    with the product magnitude clamped to 1 - 1e-12; a check whose target
+    syndrome bit is 1 negates its outgoing messages.
+
+    P and c2v are kept as L/2, so the check update takes tanh of
+    v2c / 2 and returns arctanh of the product as c2v / 2 with no
+    multiplication. When every input halves exactly, the half-scale sums
+    and differences are exactly half the L-scale ones, subnormal or not,
+    so every message, decision and sweep count is that of the L-scale
+    update. Only an odd multiple of 2^-1074 below 2^-1021 rounds when
+    halved (-2^-1074 becomes -0.0, which decides 0); given one, the
+    decoder runs at L scale, with both multiplications.
 
     Parameters
     ----------
@@ -241,10 +251,6 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
 
-    bits = (lam < 0).astype(np.uint8)
-    if np.array_equal(syndrome(code, bits), tgt):
-        return DecodeOutcome(bits=bits, converged=True, iterations_used=0)
-
     # Per layer: its edge slice, the variables of those edges, each check's
     # first edge and degree within the slice, and the target syndrome bit
     # of each check in the sign-bit position, folded into its sign parity.
@@ -257,9 +263,28 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
         layers.append((
             slice(e0, e1), code.layer_var[e0:e1], edge_ptr[c0:c1] - e0, deg[c0:c1], syn[c0:c1],
         ))
+    # The syndrome test: the first layer's checks, about a tenth of them on
+    # the 64800-bit code, and the whole syndrome only when they all match.
+    _, var0, first0, _, _ = layers[0]
+    tgt0 = tgt[code.layer_chk[: code.layer_ptr[1]]]
 
+    def in_coset(p):
+        """The hard decision of p when its syndrome is the target, else None."""
+        if not np.array_equal(np.bitwise_xor.reduceat(p[var0] < 0, first0), tgt0):
+            return None
+        bits = (p < 0).astype(np.uint8)
+        return bits if np.array_equal(syndrome(code, bits), tgt) else None
+
+    bits = in_coset(lam)
+    if bits is not None:
+        return DecodeOutcome(bits=bits, converged=True, iterations_used=0)
+
+    # P and c2v at half scale (see above), where halving the input is exact.
+    post = lam * 0.5
+    halved = np.array_equal(post + post, lam)
+    if not halved:
+        post = lam.copy()
     # Edge buffers, allocated once; a layer works on its slice of each.
-    post = lam.copy()
     c2v = np.zeros(code.edge_count)
     v2c = np.empty(code.edge_count)
     sign = np.empty(code.edge_count, dtype=np.uint64)
@@ -271,15 +296,17 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
             tb = t.view(np.uint64)
             np.take(post, var, out=x, mode="clip")  # unbuffered; var is in range
             np.subtract(x, t, out=x)
-            np.multiply(x, 0.5, out=t)
-            np.tanh(t, out=t)
+            if halved:
+                np.tanh(x, out=t)
+            else:
+                np.multiply(x, 0.5, out=t)
+                np.tanh(t, out=t)
             # Signs travel as IEEE sign bits: split them off here, so the
             # leave-one-out sign of an edge is the XOR of its check's sign
             # bits, its own and the check's syndrome bit.
             np.bitwise_and(tb, _SIGN_BIT, out=sb)
             np.bitwise_xor(tb, sb, out=tb)
-            np.maximum(t, _MAG_FLOOR, out=t)
-            np.minimum(t, _TANH_CLIP, out=t)
+            np.clip(t, _MAG_FLOOR, _TANH_CLIP, out=t)
             np.log(t, out=t)
             # Leave-one-out products per check, split into magnitude and sign.
             sum_l = np.add.reduceat(t, first)
@@ -289,16 +316,18 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
             np.exp(t, out=t)
             np.minimum(t, _TANH_CLIP, out=t)
             np.arctanh(t, out=t)
-            t *= 2.0
+            if not halved:
+                t *= 2.0
             np.bitwise_xor(sb, np.repeat(par, d), out=sb)
             np.bitwise_xor(tb, sb, out=tb)
             np.add(x, t, out=x)
             post[var] = x
 
-        bits = (post < 0).astype(np.uint8)
-        if np.array_equal(syndrome(code, bits), tgt):
+        bits = in_coset(post)
+        if bits is not None:
             return DecodeOutcome(bits=bits, converged=True, iterations_used=it)
 
+    bits = (post < 0).astype(np.uint8)
     return DecodeOutcome(bits=bits, converged=False, iterations_used=max_iters)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pickle
 import warnings
 
 import numpy as np
@@ -289,8 +290,10 @@ class TestQuantileSolver:
             assert output_quantile(np.empty(shape), ch4_0db).shape == shape
 
     def test_warns_at_iteration_cap(self, pam4, monkeypatch):
-        # At 3.5 dB, p = 1e-200 stops on the first pass and 0.3 needs a
-        # second one, so a cap of 1 leaves 0.3 unsolved after one step.
+        # At 3.5 dB on a start of 256 knots, p = 1e-200 stops on the first
+        # pass and 0.3 needs a second one, so a cap of 1 leaves 0.3 unsolved
+        # after one step. The channel is new, so it builds that start.
+        monkeypatch.setattr(channel, "_KNOTS", 256)
         monkeypatch.setattr(channel, "_MAX_NEWTON", 1)
         ch = ChannelModel(pam4, VAR_3_5_DB)
         message = r"1 of 2 points unsolved after 1 Newton .*min\(p, 1 - p\) = "
@@ -312,8 +315,10 @@ class TestQuantileSolver:
         assert np.array_equal(blocked.view(np.uint64), whole.view(np.uint64))
 
     def test_one_warning_over_all_blocks(self, pam4, monkeypatch):
-        # Blocks of 3 split the five points 3 + 2; the 0.3s stay unsolved
-        # in both blocks, and the call warns once with the summed count.
+        # Blocks of 3 split the five points 3 + 2; on a start of 256 knots
+        # the 0.3s stay unsolved in both blocks, and the call warns once
+        # with the summed count.
+        monkeypatch.setattr(channel, "_KNOTS", 256)
         monkeypatch.setattr(channel, "_BLOCK", 3)
         monkeypatch.setattr(channel, "_MAX_NEWTON", 1)
         ch = ChannelModel(pam4, VAR_3_5_DB)
@@ -372,6 +377,97 @@ class TestQuantileSolver:
         ch = ChannelModel(pam(4, priors=priors), var)
         y = output_quantile(p, ch)
         assert abs(output_cdf(y, ch) - p) <= 2.0 * QUANTILE_TOL * p
+
+
+class TestQuantileStart:
+    """The start that each channel builds once for its quantile solves."""
+
+    @staticmethod
+    def _by_binary_search(start, v):
+        """The start's curve at v, each on its interval found by searchsorted."""
+        i = np.clip(np.searchsorted(start.knots, v, "right") - 1, 0, start.knots.size - 2)
+        c = start.coef[:, i]
+        s = v - start.knots[i]
+        y = c[0]
+        for ck in c[1:]:
+            y = y * s + ck
+        return y
+
+    @given(_CHANNELS, st.lists(st.floats(-40.0, 40.0), max_size=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_matches_binary_search(self, ch, vs, data):
+        # Points anywhere, at the knots themselves and halfway between
+        # neighbours, where a bucket can hold several knots.
+        start = channel._build_start(ch)
+        last = start.knots.size - 2
+        k = np.array(data.draw(st.lists(st.integers(0, last), max_size=30)), dtype=int)
+        v = np.concatenate((vs, start.knots[k], 0.5 * (start.knots[k] + start.knots[k + 1])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = start(v), self._by_binary_search(start, v)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("snr", [0.0, 3.5, 9.0, 15.0])
+    def test_frame_solved_at_start(self, pam4, snr):
+        # One residual pass per point: at least 99% of a frame's 129,600
+        # points meet the tolerance at their start, and the frame's lookup
+        # matches the binary search, fuller buckets included.
+        ch = ChannelModel(pam4, noise_variance_for_snr_db(snr, pam4))
+        p = _frame_probabilities(ch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            output_quantile(p, ch)
+        start = ch._start
+        assert start.points == p.size
+        assert start.at_start >= 0.99 * p.size
+        v = _normal_score(p)
+        assert np.array_equal(_bits(start(v)), _bits(self._by_binary_search(start, v)))
+
+    def test_built_once_per_channel(self, pam4, rng, monkeypatch):
+        builds = []
+        build = channel._build_start
+        monkeypatch.setattr(channel, "_build_start", lambda ch: builds.append(ch) or build(ch))
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        # Nothing that stops short of a quantile solve builds it.
+        t = build_transform(ch, "alternating")
+        y = transmit(rng.integers(0, 4, size=50), ch, rng)
+        n, _ = soften(y, t)
+        output_cdf(y, ch), output_density(y, ch), log_output_density(y, ch)
+        assert builds == []
+        output_quantile(0.3, ch)
+        output_quantile(np.array([1e-200, 0.5, 1.0 - 1e-16]), ch)
+        lappr_batch(n, np.zeros(n.size, dtype=int), t)
+        assert builds == [ch]
+        # An equal channel is another instance, with its own start.
+        twin = ChannelModel(pam4, VAR_3_5_DB)
+        output_quantile(0.3, twin)
+        assert len(builds) == 2 and builds[1] is twin
+
+    def test_warm_solve_evaluates_only_its_points(self, pam4, monkeypatch):
+        # A call on a warm channel builds nothing: it evaluates the mixture
+        # on its own points only.
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        output_quantile(0.3, ch)
+        sizes = []
+        components = channel._components
+
+        def counted(y, ch, sgn=None):
+            sizes.append(np.size(y))
+            return components(y, ch, sgn)
+
+        monkeypatch.setattr(channel, "_components", counted)
+        output_quantile(np.array([1e-200, 0.01, 0.3, 0.9]), ch)
+        assert sizes and max(sizes) <= 4
+
+    def test_pickle_leaves_start_out(self, pam4):
+        ch = ChannelModel(pam4, VAR_3_5_DB)
+        before = pickle.dumps(ch)
+        p = np.array([1e-9, 0.3, 0.8])
+        y = output_quantile(p, ch)
+        assert "_start" in vars(ch)
+        assert pickle.dumps(ch) == before
+        twin = pickle.loads(before)
+        assert twin.noise_variance == ch.noise_variance and "_start" not in vars(twin)
+        assert np.array_equal(_bits(output_quantile(p, twin)), _bits(y))
 
 
 class TestQuantileOracle:

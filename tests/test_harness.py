@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from softrec.channel import ChannelModel, _hermite, _hermite_eval
+from softrec import harness
 from softrec.constellation import Constellation, pam
 from softrec.harness import (
     MI_TARGETS,
@@ -398,6 +400,31 @@ class TestBerSweep:
             hw = z * np.sqrt(ph * (1 - ph) / total + z * z / (4 * total * total))
             assert p.ber_ci_lo == pytest.approx((ctr - hw) / den, rel=1e-9)
             assert p.ber_ci_hi == pytest.approx((ctr + hw) / den, rel=1e-9)
+
+
+class TestCellTransform:
+    def test_one_transform_per_rrs_cell(self, monkeypatch):
+        built = []
+        real = harness.build_transform
+        monkeypatch.setattr(harness, "build_transform", lambda *a: built.append(a) or real(*a))
+        spec = tiny_spec(schemes=("direct", "hard", "rrs"), snr_grid_db=(3.0, 5.0),
+                         configs=("base", "alternating"), frames_per_point=3)
+        ber_sweep(spec)
+        # one per rrs cell: two SNRs times two configs, none for the others
+        assert len(built) == 4
+
+    def test_pickle_unchanged_by_frames(self):
+        # Workers get the cell pickled; the channel's quantile start stays
+        # out of it, before and after frames have solved on it.
+        spec = tiny_spec(schemes=("rrs",), snr_grid_db=(4.0,))
+        cell = harness._Cell(spec, 0, "rrs")
+        assert cell.transform.channel is cell.channel
+        assert harness._Cell(spec, 0, "hard").transform is None
+        before = pickle.dumps(cell)
+        for k in range(3):
+            harness._frame(cell, np.random.default_rng(k))
+        assert "_start" in vars(cell.channel)
+        assert pickle.dumps(cell) == before
 
 
 class TestCrossCommitPin:

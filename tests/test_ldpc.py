@@ -377,6 +377,89 @@ class TestFloodingOracle:
         assert sweeps["layered"] <= sweeps["flooding"]
 
 
+def _same_outcome(a, b) -> bool:
+    return (
+        np.array_equal(a.bits, b.bits)
+        and a.converged == b.converged
+        and a.iterations_used == b.iterations_used
+    )
+
+
+class TestLayeredOracle:
+    """The half-scale decoder against the L-scale one it replaced, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        # (lapprs, target) of rrs frames on the 64800-bit code: the
+        # benchmark's two pinned frames, which converge at 3.5 dB, and two
+        # that fail at 2.7 dB and run all 100 sweeps
+        inputs = []
+        real = harness.decode
+
+        def capture(code, lapprs, target, max_iters=100):
+            inputs.append((np.array(lapprs), np.array(target)))
+            return real(code, lapprs, target, max_iters=max_iters)
+
+        try:
+            harness.decode = capture
+            for snr, seed in ((3.5, 101), (3.5, 102), (2.7, 201), (2.7, 202)):
+                harness.ber_sweep(harness.ExperimentSpec(
+                    constellation=pam(4), snr_grid_db=(snr,), schemes=("rrs",),
+                    configs=("alternating",), code="dvbs2-r12-64800", frames_per_point=1,
+                    master_seed=seed,
+                ))
+        finally:
+            harness.decode = real
+        return inputs
+
+    def test_frames(self, frames):
+        code = load_code("dvbs2-r12-64800")
+        outcomes = []
+        for lapprs, target in frames:
+            out = decode(code, lapprs, target)
+            assert _same_outcome(out, reference_decoder.layered_decode(code, lapprs, target))
+            outcomes.append((out.converged, out.iterations_used))
+        assert [c for c, _ in outcomes] == [True, True, False, False]
+        assert [k for c, k in outcomes if not c] == [100, 100]
+
+    @given(random_codes(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_random_codes(self, code, data):
+        # inputs from a grid that holds exact zeros, signed zeros, ties and
+        # clamp-sized values, so checks see zero and saturated magnitudes
+        values = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, -1.5, 3.0, -7.0, 50.0, -50.0])
+        lam = np.array(data.draw(st.lists(values | st.floats(-60, 60), min_size=code.n,
+                                          max_size=code.n)))
+        target = np.array(data.draw(st.lists(st.integers(0, 1), min_size=code.m,
+                                             max_size=code.m)), dtype=np.uint8)
+        iters = data.draw(st.integers(1, 30))
+        out = decode(code, lam, target, max_iters=iters)
+        assert _same_outcome(out, reference_decoder.layered_decode(code, lam, target, iters))
+
+    @pytest.mark.parametrize("halving_exact", [True, False])
+    def test_zero_and_subnormal_inputs(self, halving_exact):
+        # Mostly zero inputs: a check with two zero neighbours sends 0, so
+        # a variable can keep its input as its posterior for good. Below
+        # 2^-1021 an odd multiple of 2^-1074 does not halve exactly: -2^-1074
+        # halves to -0.0, whose hard decision is 0 where the input's is 1.
+        # The decoder must then keep the L scale.
+        code = load_code("dvbs2-r12-64800")
+        rng = np.random.default_rng(8)
+        tiny = np.ldexp(1.0, -1074)
+        odd = [-tiny, tiny, -3 * tiny, 5 * tiny]
+        even = [-2 * tiny, 4 * tiny, np.ldexp(-1.0, -1022), np.ldexp(1.0, -1021)]
+        lam = np.zeros(code.n)
+        slots = rng.choice(code.n, 300, replace=False)
+        lam[slots[:200]] = rng.choice(even + [2.5, -1.25], 200)
+        if not halving_exact:
+            lam[slots[200:]] = rng.choice(odd, 100)
+        assert np.array_equal((lam * 0.5) * 2.0, lam) == halving_exact
+        bits = (lam < 0).astype(np.uint8)
+        for target in (syndrome(code, bits), syndrome(code, bits) ^ (rng.random(code.m) < 0.01)):
+            out = decode(code, lam, target, max_iters=6)
+            assert _same_outcome(out, reference_decoder.layered_decode(code, lam, target, 6))
+
+
 class TestStaircase:
     def test_small_structure_by_hand(self):
         # group = 4, addresses [[0, 5], [2, 7]]: q = ceil(8/4) = 2, m = 8;

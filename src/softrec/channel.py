@@ -123,33 +123,23 @@ def _shaped(arr: np.ndarray, vals):
 
 
 # The mixture kernels work one component at a time, on arrays shaped like y,
-# and add the components' terms left to right. For M <= 4 that is the order
-# of numpy's np.sum over a last axis of length M, so they return the same bits
-# as the (..., M) form sum(priors * f(z), axis=-1); for M >= 8 numpy sums in
-# blocks, and the last bits can differ from that form.
+# and add the components' terms left to right, as ``_logsumexp`` sums its
+# columns in the order given. For M <= 4 that is numpy's order over a last
+# axis of length M, so they return the bits of sum(priors * f(z), axis=-1)
+# and of scipy's ``logsumexp``; for M >= 8 numpy sums in blocks, and they may not.
 
 
 def _components(y, ch: ChannelModel, sgn=None):
     """Each point's prior P_j with its standardised distance
-    z_j = (y - a_j) / sigma, times ``sgn`` when it is given. Each z_j is a
-    new array, which the caller may overwrite."""
+    z_j = (y - a_j) / sigma, times ``sgn`` when it is given, all in one array:
+    the caller may overwrite z_j, and is done with it before drawing the next."""
+    z = np.empty(np.shape(y))
     for a, w in zip(ch.constellation.points, ch.constellation.priors):
-        z = np.subtract(y, a, out=np.empty(np.shape(y)))
+        np.subtract(y, a, out=z)
         z /= ch.sigma
         if sgn is not None:
             z *= sgn
         yield w, z
-
-
-def _phi_term(w, z):
-    """w * exp(-z * z / 2), computed in the memory of z. Halving is exact
-    (short of subnormal z * z, where exp gives 1 either way), so this is
-    bit for bit w * exp(-0.5 * z * z)."""
-    z *= z
-    z *= -0.5
-    np.exp(z, out=z)
-    z *= w
-    return z
 
 
 def _cdf(y, ch: ChannelModel, sgn=None):
@@ -163,10 +153,16 @@ def _cdf(y, ch: ChannelModel, sgn=None):
 
 
 def _density(y, ch: ChannelModel):
-    """sum_j P_j phi(z_j) / sigma."""
+    """sum_j P_j phi(z_j) / sigma, each term w * exp(-z * z / 2) computed in
+    the memory of z. Halving is exact (short of subnormal z * z, where exp
+    gives 1 either way), so this is bit for bit w * exp(-0.5 * z * z)."""
     total = np.zeros(np.shape(y))
     for w, z in _components(y, ch):
-        total += _phi_term(w, z)
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        z *= w
+        total += z
     return total / (np.sqrt(2.0 * np.pi) * ch.sigma)
 
 
@@ -176,32 +172,57 @@ def output_density(y, ch: ChannelModel):
     return _shaped(arr, _density(arr, ch))
 
 
+def _logsumexp(columns) -> np.ndarray:
+    """log(sum_k exp(a_k)) over the columns a_k of ``columns()``, with the
+    bits of scipy's ``logsumexp`` for real input. Each pass calls ``columns``
+    again for same-shaped float arrays (views, or one reused array), reads
+    each before drawing the next, writes none, and sums them left to right
+    in the order given. Scipy's rule: log1p(s) + log(m) + a_max, where m
+    counts the columns equal to the maximum a_max and s sums exp(a_k - a_max)
+    over the others, divided by m unless 0. It is not finite only where a_max
+    is not, and there scipy's fallback log(sum_k exp(a_k)) is a_max. Where no
+    row ties, m = 1 drops out bit for bit; otherwise a third pass counts m."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        it = iter(columns())
+        a = next(it)
+        s, buf, tie = np.zeros(a.shape), np.empty(a.shape), np.empty(a.shape, dtype=bool)
+        top = np.array(a, dtype=float)
+        for a in it:
+            np.maximum(top, a, out=top)
+        # Let the last column go before the next pass draws its own.
+        a, ties = None, 0
+        for a in columns():
+            ties += np.count_nonzero(np.equal(a, top, out=tie))
+            np.subtract(a, top, out=buf)
+            # exp(0) - 1 drops a finite maximum from s, as scipy's exp(-inf) does.
+            s += np.subtract(np.exp(buf, out=buf), tie, out=buf)
+        # A row whose maximum is not NaN ties at least once.
+        if ties == top.size and not np.isnan(top, out=tie).any():
+            np.log1p(s, out=s)
+        else:
+            m = sum(a == top for a in columns())
+            s = np.log1p(np.where(s == 0, s, s / m)) + np.log(m)
+        s += top
+        if not np.isfinite(s, out=tie).all():
+            s = np.where(tie, s, top)
+    return s
+
+
+def _exponents(y, ch: ChannelModel):
+    """log P_j - z_j^2 / 2 at y, per component in order, in ``_components``' array."""
+    for lw, (_, z) in zip(np.log(ch.constellation.priors), _components(y, ch)):
+        z *= z
+        z *= -0.5
+        z += lw
+        yield z
+
+
 def log_output_density(y, ch: ChannelModel):
-    """log f_Y(y), stable far into the tails where the density underflows.
-
-    Two passes over the components, each holding one exponent
-    e_j = log P_j - z_j^2 / 2 at a time: the first folds their maximum,
-    the second recomputes each e_j and sums exp(e_j - max) in component
-    order."""
+    """log f_Y(y), stable far into the tails where the density underflows:
+    ``_logsumexp`` of the exponents log P_j - z_j^2 / 2, one component at a
+    time and in component order, minus log(sqrt(2 pi) sigma)."""
     arr = _checked(y, "log_output_density")
-    log_priors = np.log(ch.constellation.priors)
-
-    def exponents():
-        for lw, (_, z) in zip(log_priors, _components(arr, ch)):
-            z *= z
-            z *= -0.5
-            z += lw
-            yield z
-
-    it = exponents()
-    top = next(it)
-    for e in it:
-        np.maximum(top, e, out=top)
-    total = np.zeros(arr.shape)
-    for e in exponents():
-        e -= top
-        total += np.exp(e, out=e)
-    out = top + np.log(total)
+    out = _logsumexp(lambda: _exponents(arr, ch))
     out -= _LOG_SQRT_2PI + np.log(ch.sigma)
     return _shaped(arr, out)
 
@@ -215,35 +236,6 @@ def output_cdf(y, ch: ChannelModel):
     """
     arr = _checked(y, "output_cdf")
     return _shaped(arr, _cdf(arr, ch))
-
-
-# The cubic Hermite curve of harness.snr_at_mi, with the bits of scipy's
-# CubicHermiteSpline (extrapolating): coefficients as its __init__ computes
-# them, and PPoly's power sum on PPoly's interval.
-
-
-def _hermite(x, y, dydx) -> np.ndarray:
-    """(4, n - 1) power-form coefficients of the cubic Hermite curve through
-    (x_k, y_k) with slopes dydx_k, for strictly increasing x and n >= 2. On
-    interval i, row k multiplies (u - x_i)^(3 - k)."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-
-
-def _hermite_eval(coef, x, u) -> np.ndarray:
-    """The curve of ``_hermite(x, ...)`` at the points u, each on PPoly's
-    interval i = searchsorted(x, u, "right") - 1, clipped to [0, n - 2], so
-    past either end the end cubic extrapolates. The sum is PPoly's, in its
-    order: ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s
-    and s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's
-    does."""
-    i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
-    c = np.take(coef, i, axis=1)
-    s = u - np.take(x, i)
-    s2 = s * s
-    return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
 def _quintic(x, y, d1, d2) -> np.ndarray:
@@ -340,10 +332,8 @@ def _build_start(ch: ChannelModel) -> _Start:
     u = np.concatenate((ndtri(cdf), -ndtri(sf)))
     log_f = log_output_density(grid, ch)
     # log sum_j P_j exp(-z_j^2 / 2), which normalises the posterior weights
-    log_norm = log_f + (_LOG_SQRT_2PI + np.log(sig))
-    mean_z = np.zeros(grid.shape)
-    for lw, (_, z) in zip(np.log(ch.constellation.priors), _components(grid, ch)):
-        mean_z += np.exp(lw - 0.5 * z * z - log_norm) * z
+    norm = log_f + (_LOG_SQRT_2PI + np.log(sig))
+    mean_z = sum((grid - a) / sig * np.exp(e - norm) for a, e in zip(pts, _exponents(grid, ch)))
     with np.errstate(over="ignore", invalid="ignore"):
         d1 = np.exp(-0.5 * u * u - _LOG_SQRT_2PI - log_f)
         d2 = d1 * (d1 * mean_z / sig - u)
@@ -368,13 +358,9 @@ def output_quantile(p, ch: ChannelModel):
     started from a curve that each channel builds once, on its first solve,
     and keeps (Hörmann & Leydold, ACM TOMACS 13(4), 2003):
 
-    - Start (``_build_start``). 2,048 (``_KNOTS``) points y_k, uniform over
-      [min a - 8 sigma, max a + 8 sigma], with their normal scores u_k. A
-      quintic Hermite curve interpolates y(u) with its exact first and
-      second derivatives, and a point starts at y(v) for its own normal
-      score v = Phi^{-1}(p) (or -Phi^{-1}(1 - p) where p > 1/2). A table of
-      buckets uniform in u finds each v's interval, with one comparison
-      where its bucket holds at most one knot.
+    - Start (``_build_start``). A point starts at y(v), the quintic curve
+      of the 2,048 knots at its own normal score v = Phi^{-1}(p) (or
+      -Phi^{-1}(1 - p) where p > 1/2).
     - Bracket. Each a_j lies in [a_0, a_{M-1}], so
       Phi((y - a_{M-1}) / sigma) <= F_Y(y) <= Phi((y - a_0) / sigma), and
       the same holds for P(Y > y), mirrored. So every point's bracket is
@@ -390,10 +376,10 @@ def output_quantile(p, ch: ChannelModel):
     bracket. On PAM-2, -4 and -8 from -10 to 15 dB every point within the
     knots meets the tolerance at its start, so one residual pass solves a
     frame; the Newton steps and the density they need run on the rest, such
-    as far-tail points at low SNR. Points still
-    unsolved after ``_MAX_NEWTON`` iterations are returned as they stand,
-    with one ``QuantileWarning`` per call giving their count and worst
-    relative residual.
+    as far-tail points at low SNR. Points still unsolved after
+    ``_MAX_NEWTON`` iterations are returned as they stand, with one
+    ``QuantileWarning`` per call giving their count and worst relative
+    residual.
 
     All but the start runs to completion on one block of ``_BLOCK`` points
     before the next, so the working arrays fit the cache. Every step is

@@ -61,6 +61,8 @@ class Constellation:
     bits : ndarray
         The bitmap as a (M, L) uint8 table, MSB-first columns; (M, 0)
         without a bitmap. Derived, not passed.
+
+    Equal, and hashed alike, when points, priors and bitmap are.
     """
 
     points: np.ndarray
@@ -99,6 +101,15 @@ class Constellation:
                     raise ValueError(f"bitmap label {label!r} is not a {width}-bit string")
         bits = np.array([[int(b) for b in label] for label in bitmap], dtype=np.uint8)
         object.__setattr__(self, "bits", bits.reshape(m, -1))
+
+    def _key(self) -> tuple:
+        return (tuple(self.points.tolist()), tuple(self.priors.tolist()), self.bitmap)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Constellation) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def order(self) -> int:

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelModel, _hermite, _hermite_eval, transmit
+from .channel import ChannelModel, transmit
 from .constellation import Constellation, decide, demap, map_decision_regions
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
@@ -416,6 +416,31 @@ def _pchip_slopes(x, y) -> np.ndarray:
         return d
 
     return np.concatenate(([end(h[0], h[1], m[0], m[1])], inner, [end(h[-1], h[-2], m[-1], m[-2])]))
+
+
+def _hermite(x, y, dydx) -> np.ndarray:
+    """(4, n - 1) power-form coefficients of the cubic Hermite curve through
+    (x_k, y_k) with slopes dydx_k, for strictly increasing x and n >= 2. On
+    interval i, row k multiplies (u - x_i)^(3 - k). These are the bits of
+    scipy's CubicHermiteSpline, as its __init__ computes them."""
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+
+
+def _hermite_eval(coef, x, u) -> np.ndarray:
+    """The curve of ``_hermite(x, ...)`` at the points u, each on PPoly's
+    interval i = searchsorted(x, u, "right") - 1, clipped to [0, n - 2], so
+    past either end the end cubic extrapolates. The sum is PPoly's, in its
+    order: ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s
+    and s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's
+    does."""
+    i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
+    c = np.take(coef, i, axis=1)
+    s = u - np.take(x, i)
+    s2 = s * s
+    return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
 
 
 def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:

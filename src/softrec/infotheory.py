@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, xlogy
 
-from softrec.channel import ChannelModel, output_density
+from softrec.channel import ChannelModel, _logsumexp, output_density
 from softrec.constellation import map_decision_regions
-from softrec.metrics import _log_joint_from_y, _logsumexp
+from softrec.metrics import _log_joint_from_y
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
 __all__ = [
@@ -128,12 +128,6 @@ def transition_matrix(ch: ChannelModel) -> np.ndarray:
         [np.zeros((a.size, 1)), ndtr(z), np.ones((a.size, 1))], axis=1
     )
     return np.diff(cdf, axis=1)
-
-
-def _entropy_bits(p: np.ndarray) -> float:
-    p = np.asarray(p, dtype=float)
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log2(p[nz])))
 
 
 def _gk_integrate(f, edges):
@@ -248,13 +242,13 @@ def mi_rrs(t: SofteningTransform, with_error: bool = False):
     carries.
     """
     priors = t.channel.constellation.priors
-    h_xhat = _entropy_bits(t.deltas)
+    h_xhat = float(-np.sum(t.deltas * np.log2(t.deltas)))  # every delta > 0 (SofteningTransform)
 
     def integrand(n: np.ndarray) -> np.ndarray:
         logf = _log_joint(n, t)
         # Marginal over the decision hypothesis, per sent symbol.
-        logz = _logsumexp(logf, axis=1, keepdims=True)
-        return np.sum(np.exp(logf) * (logf - logz), axis=1) / _LN2
+        logz = _logsumexp(lambda: (logf[:, i] for i in range(t.order)))
+        return np.sum(np.exp(logf) * (logf - logz[:, None]), axis=1) / _LN2
 
     res, err = _integrate(integrand, (0.0, 1.0), "rrs-MI", 1e-5)
     value = h_xhat + float(np.sum(priors * res))
@@ -281,10 +275,11 @@ def leakage(t: SofteningTransform) -> float:
     def integrand(n: np.ndarray) -> np.ndarray:
         logf = _log_joint(n, t)
         # log f_{N|Xhat}(n | i) = log sum_j P_j f(n, i | j) - log dF_i
-        log_cond = _logsumexp(logf + log_priors, axis=2) - log_df
+        log_cond = _logsumexp(lambda: (logf[:, :, j] + lw for j, lw in enumerate(log_priors)))
+        log_cond -= log_df
         # log f_N(n) = log sum_i dF_i f_{N|Xhat}(n | i)
-        log_mix = _logsumexp(log_df + log_cond, axis=1, keepdims=True)
-        return np.exp(log_cond) * (log_cond - log_mix) / _LN2
+        log_mix = _logsumexp(lambda: (ld + log_cond[:, i] for i, ld in enumerate(log_df)))
+        return np.exp(log_cond) * (log_cond - log_mix[:, None]) / _LN2
 
     res, _ = _integrate(integrand, (0.0, 1.0), "leakage", 1e-6)
     return float(np.sum(t.deltas * res))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from softrec.channel import _LOG_SQRT_2PI, ChannelModel
+from softrec.channel import _LOG_SQRT_2PI, ChannelModel, _logsumexp
 from softrec.constellation import Constellation, bit_partitions
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
@@ -30,25 +30,6 @@ __all__ = [
 # Clamp for LAPPR magnitudes (natural-log units). Far above any
 # decision-relevant magnitude but keeps the decoder away from +-inf.
 LAPPR_CLAMP = 50.0
-
-
-def _logsumexp(a, axis=-1, keepdims=False):
-    """log(sum(exp(a))) over ``axis`` with the bits of scipy's ``logsumexp``
-    for real input: log1p(s) + log(m) + a_max, where m counts the maxima and s
-    sums exp(a - a_max) over the rest, divided by m unless 0. Where that is not
-    finite, log(sum(exp(a))), which scipy computes on every call."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        top = a == a_max
-        m = np.sum(top, axis=axis, keepdims=True)
-        e = a - a_max
-        e[top] = -np.inf
-        s = np.sum(np.exp(e, out=e), axis=axis, keepdims=True)
-        out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
-        bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))[bad]
-    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def _log_joint_from_y(y, log_jac, j, ch: ChannelModel):
@@ -89,15 +70,16 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     Returns
     -------
     ndarray, shape (..., L)
-        alpha * (``_logsumexp`` over the symbols whose bit l is 0 -
-        ``_logsumexp`` over those whose bit l is 1), clamped to +-LAPPR_CLAMP.
+        alpha * (``channel._logsumexp`` over the symbols whose bit l is 0 -
+        the same over those whose bit l is 1), each summing the symbols'
+        columns in symbol order, clamped to +-LAPPR_CLAMP.
     """
     nbits = c.bits_per_symbol
     out = np.empty(logw.shape[:-1] + (nbits,), dtype=float)
     for l in range(nbits):
         zeros, ones = bit_partitions(c, l)
-        l0 = _logsumexp(logw[..., zeros])
-        l1 = _logsumexp(logw[..., ones])
+        l0 = _logsumexp(lambda: (logw[..., k] for k in zeros))
+        l1 = _logsumexp(lambda: (logw[..., k] for k in ones))
         with np.errstate(over="ignore", invalid="ignore"):
             out[..., l] = alpha * (l0 - l1)
     if np.isnan(out).any():

@@ -231,10 +231,10 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
     """
     narr = np.asarray(n, dtype=float)
     iarr = np.asarray(i)
-    if narr.size and (np.nanmin(narr) < 0.0 or np.nanmax(narr) > 1.0):
-        raise ValueError("metric n must lie in [0, 1]")
     if np.isnan(narr).any():
         raise ValueError("metric n must not be NaN")
+    if narr.size and (narr.min() < 0.0 or narr.max() > 1.0):
+        raise ValueError("metric n must lie in [0, 1]")
     if iarr.size and (iarr.min() < 0 or iarr.max() >= t.order):
         raise ValueError("region index out of range")
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)

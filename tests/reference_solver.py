@@ -2,7 +2,8 @@
 column-wise kernel and the Hermite-grid start, kept as test oracles.
 
 The kernels build the (..., M) array of standardised distances and sum each
-component's term over its last axis. ``output_quantile`` is the active-set
+component's term over its last axis; the log density is scipy's
+``logsumexp`` over that axis. ``output_quantile`` is the active-set
 Newton solve from the moment-matched single-Gaussian start; deep in the lower
 tail (below about p = 1e-90 on PAM-4) it stops at the iteration cap far from
 the root, so it is a reference only where it meets its own contract.
@@ -11,7 +12,7 @@ the root, so it is a reference only where it meets its own contract.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import logsumexp, ndtr, ndtri
 
 from softrec.channel import QUANTILE_TOL, ChannelModel
 
@@ -48,8 +49,7 @@ def output_density(y, ch: ChannelModel):
 def log_output_density(y, ch: ChannelModel):
     z = _z(y, ch)
     expo = -0.5 * z * z + np.log(ch.constellation.priors)
-    top = np.max(expo, axis=-1)
-    out = top + np.log(np.sum(np.exp(expo - top[..., None]), axis=-1))
+    out = np.asarray(logsumexp(expo, axis=-1))
     out -= _LOG_SQRT_2PI + np.log(ch.sigma)
     return out
 

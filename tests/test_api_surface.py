@@ -89,9 +89,10 @@ def _bound_names(node):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_logsumexp_has_one_route(module):
-    # metrics._logsumexp gives scipy's bits in plain numpy, without scipy's
+    # channel._logsumexp gives scipy's bits in plain numpy, without scipy's
     # array-API wrapper and its second full pass; the package reaches
-    # log-sum-exp only through it
+    # log-sum-exp only through it, and the mixture log density is one call
+    # of it
     tree = ast.parse((Path(softrec.__file__).parent / f"{module}.py").read_text())
     imported = [
         alias.name
@@ -105,6 +106,15 @@ def test_logsumexp_has_one_route(module):
         if isinstance(node, ast.Attribute) and node.attr == "logsumexp"
     ]
     assert "logsumexp" not in imported + called
+    defined = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert ("_logsumexp" in defined) == (module == "channel")
+    if module == "channel":
+        calls = {
+            node.func.id
+            for node in ast.walk(defined["log_output_density"])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "_logsumexp" in calls
 
 
 @pytest.mark.parametrize(

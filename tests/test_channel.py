@@ -5,9 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
@@ -44,6 +43,16 @@ class TestChannelModel:
 
     def test_sigma_accessor(self, ch4_0db):
         assert ch4_0db.noise_variance == pytest.approx(2.5)
+
+    def test_equal_and_hashable_by_value(self, pam4):
+        ch = ChannelModel(pam4, 0.5)
+        output_quantile(0.3, ch)  # the cached start is not compared
+        twin = ChannelModel(pam(4), 0.5)
+        assert ch == twin and hash(ch) == hash(twin)
+        assert len({ch, twin}) == 1
+        assert ch != ChannelModel(pam4, 0.25)
+        assert ch != ChannelModel(pam(4, priors=[0.1, 0.4, 0.4, 0.1]), 0.5)
+        assert ch != ChannelModel(pam(4, bitmap=["00", "01", "10", "11"]), 0.5)
 
 
 class TestTransmit:
@@ -107,6 +116,15 @@ class TestOutputDensity:
         assert output_density(y, ch4_0db) == 0.0
         lo = log_output_density(y, ch4_0db)
         assert np.isfinite(lo) and lo < -500
+
+    def test_log_density_at_infinity(self, ch4_0db):
+        # every exponent is -inf there; the log density is -inf, without a
+        # warning, for a scalar and inside an array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_output_density(np.inf, ch4_0db) == -np.inf
+            got = log_output_density(np.array([-np.inf, 0.3, np.inf]), ch4_0db)
+        assert got[[0, 2]].tolist() == [-np.inf, -np.inf] and np.isfinite(got[1])
 
 
 class TestOutputCdf:
@@ -492,47 +510,6 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.uint64)
 
 
-@st.composite
-def _hermite_data(draw):
-    """Strictly increasing knots with values and slopes, and points inside,
-    at the knots and beyond both ends."""
-    n = draw(st.integers(2, 12))
-    x0 = draw(st.floats(-50.0, 50.0))
-    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
-    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
-    assume(np.all(np.diff(x) > 0))
-    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    dydx = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=20))
-    beyond = draw(st.lists(st.floats(1e-9, 100.0), max_size=6))
-    u = np.concatenate((inside, x, x[0] - np.array(beyond), x[-1] + np.array(beyond)))
-    return x, y, dydx, u
-
-
-class TestHermite:
-    """The numpy cubic Hermite helper returns scipy's bits."""
-
-    @given(_hermite_data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_cubic_hermite_spline(self, data):
-        x, y, dydx, u = data
-        spline = CubicHermiteSpline(x, y, dydx)
-        coef = channel._hermite(x, y, dydx)
-        assert np.array_equal(_bits(coef), _bits(spline.c))
-        assert np.array_equal(_bits(channel._hermite_eval(coef, x, u)), _bits(spline(u)))
-
-    def test_signed_zero(self):
-        # At a knot whose value is -0.0, with c0, c1 and c2 all negative,
-        # every term is -0.0; PPoly's sum starts at +0.0, so it returns +0.0
-        x, y, dydx = np.array([0.0, 1.0]), np.array([-0.0, -2.0]), np.array([-1.0, -3.5])
-        u = np.array([0.0])
-        coef = channel._hermite(x, y, dydx)
-        assert (coef[:3, 0] < 0).all()
-        got = channel._hermite_eval(coef, x, u)
-        assert np.array_equal(_bits(got), _bits(CubicHermiteSpline(x, y, dydx)(u)))
-        assert _bits(got)[0] == 0
-
-
 def _pam_with_priors(order):
     weights = st.lists(st.floats(0.01, 1.0), min_size=order, max_size=order)
     return weights.map(lambda w: pam(order, priors=np.array(w) / np.sum(w)))
@@ -540,7 +517,8 @@ def _pam_with_priors(order):
 
 class TestKernelExactness:
     """The column-wise mixture kernels return the bits of the earlier
-    (..., M) forms sum(priors * f(z), axis=-1) for M <= 4."""
+    (..., M) forms sum(priors * f(z), axis=-1) for M <= 4, and the log
+    density those of scipy's ``logsumexp`` over the (..., M) exponents."""
 
     @given(
         st.one_of(_pam_with_priors(2), _pam_with_priors(4)),

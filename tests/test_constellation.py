@@ -64,6 +64,30 @@ class TestPam:
             )
 
 
+class TestEquality:
+    def test_equal_by_value(self):
+        a, b = pam(4), pam(4)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert pam(2, amplitudes=[-0.0, 1.0]) == pam(2, amplitudes=[0.0, 1.0])
+        assert hash(pam(2, amplitudes=[-0.0, 1.0])) == hash(pam(2, amplitudes=[0.0, 1.0]))
+        assert len({pam(4), pam(4), pam(2)}) == 2
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pam(4, amplitudes=[-3.0, -1.0, 1.0, 3.5]),
+            pam(4, priors=[0.1, 0.4, 0.4, 0.1]),
+            pam(4, bitmap=["00", "01", "10", "11"]),
+            pam(2),
+        ],
+    )
+    def test_unequal(self, other):
+        assert pam(4) != other and not pam(4) == other
+
+    def test_other_types_are_unequal(self):
+        assert pam(2) != (np.array([-1.0, 1.0]), np.array([0.5, 0.5]), ("0", "1"))
+
+
 class TestGrayBitmap:
     def test_known_orders(self):
         assert gray_bitmap(2) == ("0", "1")

@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
-from softrec.channel import ChannelModel, _hermite, _hermite_eval
+from softrec.channel import ChannelModel
 from softrec import harness
 from softrec.constellation import Constellation, pam
 from softrec.harness import (
     MI_TARGETS,
+    _hermite,
+    _hermite_eval,
     _pchip_slopes,
     SCHEMES,
     _RUN_LOG_FIELDS,
@@ -352,6 +354,51 @@ class TestPchip:
             got = _pchip_slopes(x, y)
             assert np.array_equal(got, PchipInterpolator._find_derivatives(x, y, xp=np))
             assert first is None or got[0] == first
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _hermite_data(draw):
+    """Strictly increasing knots with values and slopes, and points inside,
+    at the knots and beyond both ends."""
+    n = draw(st.integers(2, 12))
+    x0 = draw(st.floats(-50.0, 50.0))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(x) > 0))
+    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    dydx = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=20))
+    beyond = draw(st.lists(st.floats(1e-9, 100.0), max_size=6))
+    u = np.concatenate((inside, x, x[0] - np.array(beyond), x[-1] + np.array(beyond)))
+    return x, y, dydx, u
+
+
+class TestHermite:
+    """The numpy cubic Hermite helper returns scipy's bits."""
+
+    @given(_hermite_data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cubic_hermite_spline(self, data):
+        x, y, dydx, u = data
+        spline = CubicHermiteSpline(x, y, dydx)
+        coef = _hermite(x, y, dydx)
+        assert np.array_equal(_bits(coef), _bits(spline.c))
+        assert np.array_equal(_bits(_hermite_eval(coef, x, u)), _bits(spline(u)))
+
+    def test_signed_zero(self):
+        # At a knot whose value is -0.0, with c0, c1 and c2 all negative,
+        # every term is -0.0; PPoly's sum starts at +0.0, so it returns +0.0
+        x, y, dydx = np.array([0.0, 1.0]), np.array([-0.0, -2.0]), np.array([-1.0, -3.5])
+        u = np.array([0.0])
+        coef = _hermite(x, y, dydx)
+        assert (coef[:3, 0] < 0).all()
+        got = _hermite_eval(coef, x, u)
+        assert np.array_equal(_bits(got), _bits(CubicHermiteSpline(x, y, dydx)(u)))
+        assert _bits(got)[0] == 0
 
 
 class TestBerSweep:

@@ -53,6 +53,25 @@ The 0 dB row of ``test_hard_rr_table`` was re-recorded when the hard table
 moved onto the shared bit marginaliser: a log-sum-exp of log T in place of
 the log of a sum of T moves three of its entries by one or two ulps (at most
 2.2e-16). Its 30 dB row held.
+
+When ``log_output_density`` moved from its own max-shifted sum,
+max + log(sum exp(e - max)), onto scipy's rule in ``channel._logsumexp``,
+log1p(s) + log(m) + max, log|g'| moved by ulps, and with it these pins,
+re-recorded; largest moves:
+
+- the ``log_output_density`` row: one entry of 8, by 4.4e-16 (the scalar
+  call held);
+- the LAPPR tables: ``BASE``, ``ALTERNATING`` and the alpha = 0.65 table 15
+  of 48 entries each, by at most 8.9e-16, 4.4e-16 and 3.3e-16;
+- the frame digests: 11,855 (``alternating``), 12,084 (``base``) and
+  13,223 (``+--+``) of 64,800 LAPPRs, by at most 3.6e-15;
+- ``GK_RRS``: the MI values held; their error estimates moved by at most
+  3.1e-17 and the leakages by at most 4.6e-17.
+
+``TestChannelPins.Q``, the inverse's rows, ``SKEWED_Q``, ``GK_DIRECT``, the
+direct and hard pins and the ``output_density`` and ``output_cdf`` rows
+held, and so did both ``TestGoldenOutputs`` digests, recorded before that
+move.
 """
 
 from __future__ import annotations
@@ -62,6 +81,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import softrec.cli as cli
 from softrec.channel import (
     ChannelModel,
     _cdf,
@@ -122,7 +142,7 @@ class TestChannelPins:
             (
                 log_output_density,
                 [-652.5633782602616, -6.80114559767641, -2.3640400473658536,
-                 -2.0883847471857946, -2.0863303388133567, -2.1136069813514293,
+                 -2.088384747185795, -2.0863303388133567, -2.1136069813514293,
                  -2.887506869037632, -652.5633782602616],
             ),
             (
@@ -170,46 +190,46 @@ class TestLapprPins:
     J = np.tile(np.arange(4), 6)
 
     BASE = [
-        [2.8455380604496145, 0.6857927695311563], [-0.1253218551646056, -2.1919919426020646],
-        [-2.2833960727060614, -0.05515250974038044], [-5.020572267855935, 1.6999812407055215],
-        [2.8455380604496145, 0.6857927695311563], [-0.1253218551646056, -2.1919919426020646],
-        [-2.2833960727060614, -0.05515250974038044], [-5.020572267855935, 1.6999812407055215],
+        [2.8455380604496154, 0.6857927695311563], [-0.12532185516460526, -2.1919919426020646],
+        [-2.2833960727060614, -0.05515250974038011], [-5.020572267855935, 1.699981240705522],
+        [2.8455380604496154, 0.6857927695311563], [-0.12532185516460526, -2.1919919426020646],
+        [-2.2833960727060614, -0.05515250974038011], [-5.020572267855935, 1.699981240705522],
         [3.0013539964553027, 0.7333228194364827], [0.20709386806990715, -1.679292531313688],
         [-2.046069845627683, -0.22341534776432836], [-4.759635534953928, 1.5764138744220455],
-        [3.809406414489648, 1.1161241533332236], [1.1331734747213007, -0.9209063160905943],
-        [-1.1331734747212996, -0.9209063160905955], [-3.8094064144896462, 1.1161241533332222],
+        [3.809406414489648, 1.1161241533332231], [1.1331734747213007, -0.9209063160905947],
+        [-1.1331734747212998, -0.9209063160905955], [-3.8094064144896462, 1.1161241533332222],
         [4.759635534953926, 1.5764138744220468], [2.046069845627683, -0.22341534776432803],
         [-0.20709386806990748, -1.679292531313688], [-3.001353996455302, 0.7333228194364827],
-        [5.020572267855934, 1.699981240705522], [2.2833960727069003, -0.05515250974053887],
-        [0.1253218619542188, -2.19199197427621], [-2.8455380624796485, 0.6857927724160773],
+        [5.020572267855934, 1.699981240705522], [2.2833960727069, -0.05515250974053898],
+        [0.12532186195421835, -2.19199197427621], [-2.8455380624796485, 0.685792772416077],
     ]
     ALTERNATING = [
-        [2.6125268325736664, 1.8432014180545166], [0.0001574206144813184, -9.449632814040902],
-        [-0.00015742521100470253, -9.449603615361404], [-2.6125268309034917, 1.8432014162521388],
-        [2.6125268325736664, 1.8432014180545166], [0.0001574206144813184, -9.449632814040902],
-        [-0.00015742521100470253, -9.449603615361404], [-2.6125268309034917, 1.8432014162521388],
+        [2.612526832573667, 1.8432014180545166], [0.00015742061448176248, -9.449632814040902],
+        [-0.00015742521100425844, -9.449603615361404], [-2.6125268309034917, 1.8432014162521393],
+        [2.612526832573667, 1.8432014180545166], [0.00015742061448176248, -9.449632814040902],
+        [-0.00015742521100425844, -9.449603615361404], [-2.6125268309034917, 1.8432014162521393],
         [2.7955903161712436, 1.738025732390665], [0.32685609687507056, -2.2583163878070396],
         [-0.3268560968750709, -2.2583163878070396], [-2.7955903161712436, 1.738025732390664],
-        [3.809406414489648, 1.1161241533332236], [1.1331734747213007, -0.9209063160905943],
-        [-1.1331734747212996, -0.9209063160905955], [-3.8094064144896462, 1.1161241533332222],
+        [3.809406414489648, 1.1161241533332231], [1.1331734747213007, -0.9209063160905947],
+        [-1.1331734747212998, -0.9209063160905955], [-3.8094064144896462, 1.1161241533332222],
         [4.760628628724346, 0.2766979257085582], [1.58646192129844, -0.12443428616714769],
         [-1.58646192129844, -0.12443428616714802], [-4.760628628724347, 0.2766979257085578],
-        [4.800000000000312, 0.05936239947897759], [1.600000000000105, 0.05936239947497046],
-        [-1.600000000000103, 0.05936239947497057], [-4.800000000000311, 0.05936239947897837],
+        [4.800000000000312, 0.05936239947897759], [1.600000000000105, 0.05936239947497035],
+        [-1.6000000000001031, 0.05936239947497024], [-4.800000000000311, 0.05936239947897792],
     ]
     ALTERNATING_065 = [
-        [1.6981424411728832, 1.1980809217354358], [0.00010232339941285696, -6.142261329126586],
-        [-0.00010232638715305664, -6.142242349984913], [-1.6981424400872696, 1.1980809205638903],
-        [1.6981424411728832, 1.1980809217354358], [0.00010232339941285696, -6.142261329126586],
-        [-0.00010232638715305664, -6.142242349984913], [-1.6981424400872696, 1.1980809205638903],
+        [1.6981424411728834, 1.1980809217354358], [0.00010232339941314561, -6.142261329126586],
+        [-0.00010232638715276798, -6.142242349984913], [-1.6981424400872696, 1.1980809205638905],
+        [1.6981424411728834, 1.1980809217354358], [0.00010232339941314561, -6.142261329126586],
+        [-0.00010232638715276798, -6.142242349984913], [-1.6981424400872696, 1.1980809205638905],
         [1.8171337055113084, 1.1297167260539323], [0.21245646296879586, -1.4679056520745757],
         [-0.21245646296879608, -1.4679056520745757], [-1.8171337055113084, 1.1297167260539316],
-        [2.4761141694182713, 0.7254806996665953], [0.7365627585688455, -0.5985891054588863],
-        [-0.7365627585688448, -0.5985891054588871], [-2.47611416941827, 0.7254806996665945],
+        [2.4761141694182713, 0.725480699666595], [0.7365627585688455, -0.5985891054588866],
+        [-0.7365627585688449, -0.5985891054588871], [-2.47611416941827, 0.7254806996665945],
         [3.094408608670825, 0.17985365171056286], [1.0312002488439862, -0.080882286008646],
         [-1.0312002488439862, -0.08088228600864622], [-3.094408608670826, 0.17985365171056256],
-        [3.1200000000002026, 0.038585559661335436], [1.0400000000000682, 0.038585559658730804],
-        [-1.0400000000000669, 0.038585559658730874], [-3.120000000000202, 0.03858555966133594],
+        [3.1200000000002026, 0.038585559661335436], [1.0400000000000682, 0.03858555965873073],
+        [-1.040000000000067, 0.03858555965873066], [-3.120000000000202, 0.03858555966133565],
     ]
 
     def test_base(self, t_base):
@@ -277,10 +297,10 @@ class TestInformationPins:
         6.0: (1.4646846740275214, 1.8175169867533504e-09),
     }
     GK_RRS = {
-        (0.0, "base"): (0.742743280094972, 8.613903625677847e-14, -6.042150361516726e-17),
-        (0.0, "alternating"): (0.7678310568728901, 1.5352698937342732e-13, -5.538933116357157e-17),
-        (6.0, "base"): (1.4445436695176432, 1.3391882974945805e-12, -7.18727642789215e-17),
-        (6.0, "alternating"): (1.4646843630035378, 2.157683210339517e-12, -8.216720505983498e-18),
+        (0.0, "base"): (0.742743280094972, 8.612909308280986e-14, -1.436767508165836e-17),
+        (0.0, "alternating"): (0.7678310568728901, 1.5355333134599068e-13, -5.89338326604079e-17),
+        (6.0, "base"): (1.4445436695176432, 1.3391789582189334e-12, -7.999753390266356e-17),
+        (6.0, "alternating"): (1.4646843630035378, 2.157652385216228e-12, -4.890087773005101e-17),
     }
 
     @pytest.mark.parametrize("snr", [0.0, 6.0])
@@ -305,9 +325,9 @@ class TestSolverPins:
     # One 32,400-symbol PAM-4 frame at 3.5 dB; the metric is forced to 0, 1
     # and 1e-300 at three slots (the clamped ends and a subnormal-scale p).
     LAPPR_SHA256 = {
-        "alternating": "b1e2f6ae885b740e22d418c0aab0cb95a84e3f1e5bf77a59819df0cc26a40775",
-        "base": "ce0c8876a9bdc51d11c94bbfd5b51bfee24e5d6e5fff6a5ea85676d4e4aab539",
-        "+--+": "d81c244dcfa9bf1bf2a1930d7323750712428c809d43f02f46c26cd51b5c8544",
+        "alternating": "6442c94e98024d92e1363953da6037a1e0554020f6334f6556a2358dea4b33a4",
+        "base": "8305d8c4ff9d3b388f0678713b96ff200b1237f8c09f3c32992444f9bc65142d",
+        "+--+": "d488fd9b65347b7231a120c00ab70d80e99668ff133193eb2bfa6a0c657ef550",
     }
     P = [
         1e-200, 1e-30, 1e-12, 1e-06, 0.01, 0.3, 0.5, 0.7,
@@ -345,3 +365,29 @@ class TestSolverPins:
     def test_skewed_prior_quantile(self, var):
         ch = ChannelModel(pam(4, priors=[0.97, 0.01, 0.01, 0.01]), var)
         assert output_quantile(np.array(self.P), ch).tolist() == self.SKEWED_Q[var]
+
+
+class TestGoldenOutputs:
+    # The bytes of two CLI outputs: a small coded-BER sweep over all three
+    # schemes, and the stdout of one 64800-bit reconciliation frame.
+    BER_ARGS = [
+        "ber-sweep", "--snr", "3,6", "--code", "hamming74", "--frames", "8",
+        "--schemes", "direct,hard,rrs", "--seed", "11",
+    ]
+    BER_SHA256 = "66ff03b82df79747ea0f50bae5276f5b6f1c47da0455b6b096294e8c870c4627"
+    RECONCILE_ARGS = [
+        "reconcile", "--code", "dvbs2-r12-64800", "--snr", "3.0",
+        "--config", "alternating", "--seed", "0",
+    ]
+    RECONCILE_SHA256 = "28946ae7b818c00c3671a82ac9c839653e924d9750aec7521bfcda26613e7ba6"
+
+    def test_ber_csv(self, tmp_path):
+        assert cli.main(self.BER_ARGS + ["--out", str(tmp_path)]) == 0
+        body = (tmp_path / "ber.csv").read_bytes()
+        assert hashlib.sha256(body).hexdigest() == self.BER_SHA256
+
+    def test_reconcile_stdout(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(self.RECONCILE_ARGS + ["--out", str(tmp_path)]) == 0
+        body = capsys.readouterr().out.encode()
+        assert hashlib.sha256(body).hexdigest() == self.RECONCILE_SHA256

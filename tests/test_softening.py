@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,3 +277,12 @@ class TestTailSaturation:
             inverse_and_jacobian(0.5, 4, t_base)
         with pytest.raises(ValueError):
             soften(np.nan, t_base)
+
+    @pytest.mark.parametrize("n", [np.nan, np.full(3, np.nan), np.array([0.2, np.nan, 1.5])])
+    def test_rejects_nan_without_a_warning(self, t_base, n):
+        # a NaN in n (a scalar, a whole array, or beside a value past 1)
+        # raises the documented ValueError, with no numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="NaN"):
+                inverse_and_jacobian(n, 0, t_base)

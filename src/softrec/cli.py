@@ -170,12 +170,20 @@ def _parse_snr(text) -> tuple:
         if count < 1:
             raise ValueError(f"empty snr grid {s!r}")
         return tuple(float(start + k * step) for k in range(count))
+    return _parse_list(s, "snr_grid_db")
+
+
+def _parse_list(text, name: str) -> tuple:
+    """A non-empty comma list of finite numbers for the field ``name``."""
+    s = str(text).strip()
     try:
         vals = tuple(float(p) for p in s.split(",") if p.strip())
     except ValueError:
-        raise ValueError(f"bad snr list {s!r}") from None
+        raise ValueError(f"{name}: bad list {s!r}") from None
     if not vals:
-        raise ValueError("empty snr grid")
+        raise ValueError(f"{name}: empty list")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"{name} must be finite, got {s!r}")
     return vals
 
 
@@ -264,7 +272,7 @@ def _setup_logging(resolved: dict) -> None:
 
 def _cmd_mi_sweep(resolved: dict) -> int:
     spec = _spec(resolved)
-    targets = tuple(float(t) for t in str(resolved["mi_targets"]).split(",") if t.strip())
+    targets = _parse_list(resolved["mi_targets"], "mi_targets")
     out = _out_dir(resolved)
     _echo_config("mi-sweep", resolved, out)
     log.info("mi-sweep: %d grid points, schemes %s", len(spec.snr_grid_db), spec.schemes)

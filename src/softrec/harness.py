@@ -388,70 +388,18 @@ def mi_sweep(spec: ExperimentSpec, out_dir: str | Path | None = None, mi_targets
     return results
 
 
-def _pchip_slopes(x, y) -> np.ndarray:
-    """Fritsch-Carlson slopes of the monotone cubic through (x_k, y_k)
-    ("Monotone piecewise cubic interpolation", SIAM J. Numer. Anal. 17(2),
-    1980), with the bits of scipy's PchipInterpolator: the weighted harmonic
-    mean of the two secants inside, 0 where they differ in sign or one is
-    flat; the one-sided three-point estimate at the ends, kept to the end
-    secant's sign and to 3 times its size where the secants change sign; the
-    secant itself for two points."""
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if x.size == 2:
-        return np.array([m[0], m[0]])
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        inner = np.where(flat, 0.0, 1.0 / whmean)
-
-    def end(h0, h1, m0, m1):
-        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-        if np.sign(d) != np.sign(m0):
-            return 0.0
-        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-            return 3.0 * m0
-        return d
-
-    return np.concatenate(([end(h[0], h[1], m[0], m[1])], inner, [end(h[-1], h[-2], m[-1], m[-2])]))
-
-
-def _hermite(x, y, dydx) -> np.ndarray:
-    """(4, n - 1) power-form coefficients of the cubic Hermite curve through
-    (x_k, y_k) with slopes dydx_k, for strictly increasing x and n >= 2. On
-    interval i, row k multiplies (u - x_i)^(3 - k). These are the bits of
-    scipy's CubicHermiteSpline, as its __init__ computes them."""
-    dx = np.diff(x)
-    slope = np.diff(y) / dx
-    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    return np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
-
-
-def _hermite_eval(coef, x, u) -> np.ndarray:
-    """The curve of ``_hermite(x, ...)`` at the points u, each on PPoly's
-    interval i = searchsorted(x, u, "right") - 1, clipped to [0, n - 2], so
-    past either end the end cubic extrapolates. The sum is PPoly's, in its
-    order: ((0 + c3 + c2 s) + c1 s^2) + c0 s^3 with s = u - x_i, s^2 = s s
-    and s^3 = s^2 s. The +0.0 turns a c3 of -0.0 into +0.0, as PPoly's
-    does."""
-    i = np.clip(np.searchsorted(x, u, "right") - 1, 0, x.size - 2)
-    c = np.take(coef, i, axis=1)
-    s = u - np.take(x, i)
-    s2 = s * s
-    return 0.0 + c[3] + c[2] * s + c[1] * s2 + c[0] * (s2 * s)
-
-
 def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
     """Invert MI curves: the SNR at which each curve reaches each target.
 
-    Uses monotone cubic (PCHIP, Fritsch & Carlson, SIAM J. Numer. Anal.
-    17(2), 1980) interpolation of SNR as a function of MI per
-    (scheme, config) curve; cells outside the computed MI range are
-    flagged ``out-of-range`` with an empty SNR, curves with fewer than two
-    usable points flag ``insufficient-grid``.
+    Each (scheme, config) curve reads SNR as a function of MI through scipy's
+    ``PchipInterpolator``, the monotone cubic of Fritsch & Carlson (SIAM J.
+    Numer. Anal. 17(2), 1980); ``scipy.interpolate`` is imported on the first
+    call, so ``import softrec`` does without it. Cells outside the computed
+    MI range are flagged ``out-of-range`` with an empty SNR, curves with
+    fewer than two usable points flag ``insufficient-grid``.
     """
+    from scipy.interpolate import PchipInterpolator
+
     curves: dict[tuple, list[MiResult]] = {}
     for r in results:
         curves.setdefault((r.scheme, r.config), []).append(r)
@@ -464,16 +412,15 @@ def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
         # above every lower-SNR point, which drops a numerically flat tail.
         keep = mi > np.maximum.accumulate(np.concatenate(([-np.inf], mi[:-1])))
         mi, snr = mi[keep], snr[keep]
-        coef = _hermite(mi, snr, _pchip_slopes(mi, snr)) if mi.size >= 2 else None
+        line = PchipInterpolator(mi, snr) if mi.size >= 2 else None
         for tgt in mi_targets:
             row = {"mi_bits": float(tgt), "scheme": key[0], "config": key[1]}
-            if coef is None:
+            if line is None:
                 row.update(snr_db=None, status="insufficient-grid")
             elif not mi[0] <= tgt <= mi[-1]:
                 row.update(snr_db=None, status="out-of-range")
             else:
-                v = _hermite_eval(coef, mi, np.array([tgt], dtype=float))[0]
-                row.update(snr_db=float(v), status="ok")
+                row.update(snr_db=float(line(tgt)), status="ok")
             rows.append(row)
     return rows
 

@@ -27,7 +27,7 @@ from softrec.harness import (
     noise_variance_for_snr_db,
     snr_at_mi,
 )
-from softrec.infotheory import MiResult, leakage, mi_direct, mi_hard, mi_rrs
+from softrec.infotheory import MiResult, mi_direct, mi_hard, mi_rrs
 from softrec.ldpc import decode, hamming74, syndrome
 from softrec.softening import build_transform, enumerate_configs
 

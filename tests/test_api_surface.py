@@ -16,6 +16,7 @@ import pytest
 import softrec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(softrec.__path__))
+TEST_FILES = sorted(p.name for p in Path(__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("module", ["softrec"] + [f"softrec.{m}" for m in MODULES])
@@ -40,11 +41,9 @@ def test_traced_boundaries_exist():
     assert missing == []
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_unused_imports(module):
-    # every imported name is used in the module or re-exported in __all__;
-    # a deletion that leaves an import behind fails here
-    tree = ast.parse((Path(softrec.__file__).parent / f"{module}.py").read_text())
+def _unused_imports(path: Path) -> set:
+    """The names a file imports and never reads."""
+    tree = ast.parse(path.read_text())
     imported = {
         alias.asname or alias.name.split(".")[0]
         for node in ast.walk(tree)
@@ -52,9 +51,22 @@ def test_no_unused_imports(module):
         and getattr(node, "module", None) != "__future__"
         for alias in node.names
     }
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    # every imported name is used in the module or re-exported in __all__;
+    # a deletion that leaves an import behind fails here
+    unused = _unused_imports(Path(softrec.__file__).parent / f"{module}.py")
     exported = set(getattr(importlib.import_module(f"softrec.{module}"), "__all__", ()))
-    assert sorted(imported - used - exported) == []
+    assert sorted(unused - exported) == []
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_no_unused_imports_in_tests(name):
+    # the same rule over the test files, which export nothing
+    assert sorted(_unused_imports(Path(__file__).parent / name)) == []
 
 
 def test_no_unused_private_names():
@@ -122,12 +134,20 @@ def test_logsumexp_has_one_route(module):
     [
         ("import softrec", ("scipy.interpolate", "scipy.stats")),
         ("import softrec.cli", ("scipy.stats",)),
+        pytest.param(
+            "from softrec import harness, pam; "
+            "harness.mi_sweep(harness.ExperimentSpec(pam(4), (9.0,), harness.SCHEMES))",
+            ("scipy.interpolate",),
+            id="one-point mi_sweep",
+        ),
     ],
 )
 def test_import_leaves_heavy_scipy_out(statement, absent):
     # scipy.interpolate (with scipy.linalg, scipy.optimize and scipy.sparse)
     # and scipy.stats dominate a cold start; only the audit's KS test imports
-    # scipy.stats, when it first runs
+    # scipy.stats, and only snr_at_mi scipy.interpolate, when they first run,
+    # so a one-point mi_sweep with no output directory (the benchmark's MI
+    # operation) loads neither
     src = str(Path(softrec.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

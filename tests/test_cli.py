@@ -115,6 +115,21 @@ class TestArgumentHandling:
         assert "snr_grid_db must be finite" in capsys.readouterr().err
         assert not (tmp_path / "run_log.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ("abc", "mi_targets: bad list 'abc'"),
+            # an empty list would write a snr_at_mi.csv of its header alone
+            (",", "mi_targets: empty list"),
+            ("nan,inf", "mi_targets must be finite"),
+        ],
+    )
+    def test_bad_mi_targets_rejected_before_echo(self, tmp_path, capsys, targets, message):
+        argv = ["mi-sweep", "--snr", "0,5", "--schemes", "hard", "--mi-targets", targets]
+        assert run(argv + ["--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run_log.jsonl").exists()
+
     @pytest.mark.parametrize("level, ok", [("WARNING", True), ("Error", True), ("warnig", False)])
     def test_log_level_names(self, tmp_path, capsys, level, ok):
         argv = ["mi-sweep", "--snr", "0", "--schemes", "hard", "--log-level", level]

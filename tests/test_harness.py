@@ -6,18 +6,13 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from softrec.channel import ChannelModel
 from softrec import harness
 from softrec.constellation import Constellation, pam
 from softrec.harness import (
     MI_TARGETS,
-    _hermite,
-    _hermite_eval,
-    _pchip_slopes,
     SCHEMES,
     _RUN_LOG_FIELDS,
     BerPoint,
@@ -303,102 +298,6 @@ class TestMiSweepAndInversion:
         ]
         out = snr_at_mi(rows, mi_targets=(0.5,))
         assert out[0]["status"] == "insufficient-grid"
-
-
-@st.composite
-def _pchip_curves(draw):
-    """Strictly increasing x with y values that repeat and change sign, so
-    the curves have flat runs and turning points; two points included."""
-    n = draw(st.integers(2, 10))
-    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
-    x = draw(st.floats(-20.0, 20.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
-    # (secants near 1e-308 overflow the harmonic mean, with a warning in scipy
-    # as here; an MI curve never has them)
-    wide = st.floats(-50.0, 50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-12)
-    level = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), wide)
-    y = np.array(draw(st.lists(level, min_size=n, max_size=n)))
-    inside = draw(st.lists(st.floats(0.0, 1.0), max_size=10))
-    u = np.concatenate((x[0] + np.array(inside) * (x[-1] - x[0]), x, [x[0] - 1.0, x[-1] + 1.0]))
-    return x, y, u
-
-
-class TestPchip:
-    """The PCHIP slopes and curve of snr_at_mi return scipy's bits."""
-
-    @given(_pchip_curves())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_pchip_interpolator(self, curve):
-        x, y, u = curve
-        assume(np.all(np.diff(x) > 0))
-        ref = PchipInterpolator(x, y)
-        slopes = _pchip_slopes(x, y)
-        want = PchipInterpolator._find_derivatives(x, y, xp=np)
-        coef = _hermite(x, y, slopes)
-        assert np.array_equal(slopes.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(coef.view(np.uint64), ref.c.view(np.uint64))
-        assert np.array_equal(_hermite_eval(coef, x, u).view(np.uint64), ref(u).view(np.uint64))
-
-    def test_cases(self):
-        # two points (the secant), a flat run, turning points, an end estimate
-        # against its secant's sign (set to 0), and one over 3 times its
-        # secant where the secants change sign (set to 3 times it)
-        cases = (
-            ([0.0, 1.0], [2.0, 5.0], None),
-            ([0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 2.0], None),
-            ([0.0, 1.0, 3.0, 3.5], [0.0, 4.0, -1.0, 2.0], None),
-            ([0.0, 1.0, 2.0], [0.0, 1.0, 6.0], 0.0),
-            ([0.0, 10.0, 11.0], [0.0, 10.0, 0.0], 3.0),
-        )
-        for x, y, first in cases:
-            x, y = np.array(x), np.array(y)
-            got = _pchip_slopes(x, y)
-            assert np.array_equal(got, PchipInterpolator._find_derivatives(x, y, xp=np))
-            assert first is None or got[0] == first
-
-
-def _bits(a):
-    return np.asarray(a, dtype=float).view(np.uint64)
-
-
-@st.composite
-def _hermite_data(draw):
-    """Strictly increasing knots with values and slopes, and points inside,
-    at the knots and beyond both ends."""
-    n = draw(st.integers(2, 12))
-    x0 = draw(st.floats(-50.0, 50.0))
-    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
-    x = x0 + np.concatenate(([0.0], np.cumsum(gaps)))
-    assume(np.all(np.diff(x) > 0))
-    y = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    dydx = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=20))
-    beyond = draw(st.lists(st.floats(1e-9, 100.0), max_size=6))
-    u = np.concatenate((inside, x, x[0] - np.array(beyond), x[-1] + np.array(beyond)))
-    return x, y, dydx, u
-
-
-class TestHermite:
-    """The numpy cubic Hermite helper returns scipy's bits."""
-
-    @given(_hermite_data())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_cubic_hermite_spline(self, data):
-        x, y, dydx, u = data
-        spline = CubicHermiteSpline(x, y, dydx)
-        coef = _hermite(x, y, dydx)
-        assert np.array_equal(_bits(coef), _bits(spline.c))
-        assert np.array_equal(_bits(_hermite_eval(coef, x, u)), _bits(spline(u)))
-
-    def test_signed_zero(self):
-        # At a knot whose value is -0.0, with c0, c1 and c2 all negative,
-        # every term is -0.0; PPoly's sum starts at +0.0, so it returns +0.0
-        x, y, dydx = np.array([0.0, 1.0]), np.array([-0.0, -2.0]), np.array([-1.0, -3.5])
-        u = np.array([0.0])
-        coef = _hermite(x, y, dydx)
-        assert (coef[:3, 0] < 0).all()
-        got = _hermite_eval(coef, x, u)
-        assert np.array_equal(_bits(got), _bits(CubicHermiteSpline(x, y, dydx)(u)))
-        assert _bits(got)[0] == 0
 
 
 class TestBerSweep:

@@ -368,8 +368,10 @@ class TestSolverPins:
 
 
 class TestGoldenOutputs:
-    # The bytes of two CLI outputs: a small coded-BER sweep over all three
-    # schemes, and the stdout of one 64800-bit reconciliation frame.
+    # The bytes of three CLI outputs: a small coded-BER sweep over all three
+    # schemes, the stdout of one 64800-bit reconciliation frame, and the MI
+    # curves of the default schemes and configs with their SNR-at-MI table
+    # (16 of its 24 rows ok).
     BER_ARGS = [
         "ber-sweep", "--snr", "3,6", "--code", "hamming74", "--frames", "8",
         "--schemes", "direct,hard,rrs", "--seed", "11",
@@ -380,6 +382,11 @@ class TestGoldenOutputs:
         "--config", "alternating", "--seed", "0",
     ]
     RECONCILE_SHA256 = "28946ae7b818c00c3671a82ac9c839653e924d9750aec7521bfcda26613e7ba6"
+    MI_ARGS = ["mi-sweep", "--snr=-6:14:2", "--seed", "0"]
+    MI_SHA256 = {
+        "mi.csv": "507f75462aa6f40e1c078d28bfdc6fc789a9899bb8d74f17079f62a22513138a",
+        "snr_at_mi.csv": "f17e8047e97a6deaecc08f76c8295288903ef0c10b4c0b4cb84e19e252ef0219",
+    }
 
     def test_ber_csv(self, tmp_path):
         assert cli.main(self.BER_ARGS + ["--out", str(tmp_path)]) == 0
@@ -391,3 +398,11 @@ class TestGoldenOutputs:
         assert cli.main(self.RECONCILE_ARGS + ["--out", str(tmp_path)]) == 0
         body = capsys.readouterr().out.encode()
         assert hashlib.sha256(body).hexdigest() == self.RECONCILE_SHA256
+
+    def test_mi_sweep_csvs(self, tmp_path):
+        assert cli.main(self.MI_ARGS + ["--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.MI_SHA256
+        }
+        assert digests == self.MI_SHA256

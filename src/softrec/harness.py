@@ -360,8 +360,11 @@ def mi_sweep(spec: ExperimentSpec, out_dir: str | Path | None = None, mi_targets
     Returns the list of MiResult rows in deterministic order (scheme, then
     config, then grid order). When ``out_dir`` is given, writes ``mi.csv``
     and, for grids with at least two points, the inverse table
-    ``snr_at_mi.csv``.
+    ``snr_at_mi.csv``; a shorter grid removes an older ``snr_at_mi.csv``
+    there, which would disagree with the new ``mi.csv``. Non-finite targets
+    raise ValueError before any MI is computed.
     """
+    mi_targets = _finite_targets(mi_targets)
     c = spec.constellation
     grid = [(snr, ChannelModel(c, noise_variance_for_snr_db(snr, c))) for snr in spec.snr_grid_db]
     results: list[MiResult] = []
@@ -385,7 +388,17 @@ def mi_sweep(spec: ExperimentSpec, out_dir: str | Path | None = None, mi_targets
         write_mi_csv(results, out / "mi.csv")
         if len(spec.snr_grid_db) >= 2:
             write_snr_at_mi_csv(snr_at_mi(results, mi_targets), out / "snr_at_mi.csv")
+        else:
+            (out / "snr_at_mi.csv").unlink(missing_ok=True)
     return results
+
+
+def _finite_targets(mi_targets) -> tuple:
+    """``mi_targets`` as a tuple of floats; ValueError if any is NaN or inf."""
+    targets = tuple(float(t) for t in mi_targets)
+    if not np.all(np.isfinite(targets)):
+        raise ValueError(f"mi_targets must be finite, got {targets}")
+    return targets
 
 
 def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
@@ -396,8 +409,10 @@ def snr_at_mi(results: list[MiResult], mi_targets=MI_TARGETS) -> list[dict]:
     Numer. Anal. 17(2), 1980); ``scipy.interpolate`` is imported on the first
     call, so ``import softrec`` does without it. Cells outside the computed
     MI range are flagged ``out-of-range`` with an empty SNR, curves with
-    fewer than two usable points flag ``insufficient-grid``.
+    fewer than two usable points flag ``insufficient-grid``. A NaN or
+    infinite target raises ValueError.
     """
+    mi_targets = _finite_targets(mi_targets)
     from scipy.interpolate import PchipInterpolator
 
     curves: dict[tuple, list[MiResult]] = {}

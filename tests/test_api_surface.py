@@ -140,6 +140,14 @@ def test_logsumexp_has_one_route(module):
             ("scipy.interpolate",),
             id="one-point mi_sweep",
         ),
+        pytest.param(
+            "import tempfile; from softrec import harness, pam; "
+            "out = tempfile.TemporaryDirectory(); "
+            "harness.mi_sweep(harness.ExperimentSpec(pam(4), (9.0,), ('hard',)), out.name); "
+            "out.cleanup()",
+            ("scipy.interpolate",),
+            id="one-point mi_sweep to a directory",
+        ),
     ],
 )
 def test_import_leaves_heavy_scipy_out(statement, absent):
@@ -147,7 +155,7 @@ def test_import_leaves_heavy_scipy_out(statement, absent):
     # and scipy.stats dominate a cold start; only the audit's KS test imports
     # scipy.stats, and only snr_at_mi scipy.interpolate, when they first run,
     # so a one-point mi_sweep with no output directory (the benchmark's MI
-    # operation) loads neither
+    # operation) loads neither, and writing its mi.csv does not either
     src = str(Path(softrec.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.stats import kstest
 
 import reference_audit
 import softrec.cli as cli
-from softrec.channel import ChannelModel
+from softrec.channel import ChannelModel, transmit
 from softrec.constellation import pam
 from softrec.harness import noise_variance_for_snr_db
 from softrec.softening import build_transform
@@ -278,6 +279,15 @@ class TestMiSweepCommand:
         assert len(mi) == 1 + 4  # two schemes, two grid points
         assert (out / "snr_at_mi.csv").exists()
 
+    def test_one_point_sweep_removes_stale_table(self, tmp_path):
+        # a one-point grid writes no snr_at_mi.csv, so an older one must go
+        out = str(tmp_path)
+        assert run(["mi-sweep", "--snr", "0,5,10", "--schemes", "hard", "--out", out]) == 0
+        assert (tmp_path / "snr_at_mi.csv").exists()
+        assert run(["mi-sweep", "--snr", "3", "--schemes", "hard", "--out", out]) == 0
+        assert not (tmp_path / "snr_at_mi.csv").exists()
+        assert (tmp_path / "mi.csv").read_text().splitlines()[1].startswith("3.0,hard,")
+
     def test_scheme_aliases(self, tmp_path):
         out = tmp_path / "alias"
         rc = run(["mi-sweep", "--snr", "0", "--schemes", "dr,hard-rr", "--out", str(out)])
@@ -483,11 +493,9 @@ class TestAuditCellShortcuts:
     @staticmethod
     def _joint_counts_both_ways(d, n, bins):
         # one sort per decision, as the audit cell does it
-        sizes = np.bincount(d, minlength=4)
-        groups = np.split(cli._group_by_decision(n, d, 4), np.cumsum(sizes[:-1]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "MC_BINS", bins)
-            got = [cli._bin_counts(np.sort(g)).tolist() for g in groups]
+            got = [cli._bin_counts(np.sort(n[d == i])).tolist() for i in range(4)]
         want, _, _ = np.histogram2d(d, n, bins=[4, bins], range=[[-0.5, 3.5], [0.0, 1.0]])
         return got, want.tolist()
 
@@ -506,15 +514,6 @@ class TestAuditCellShortcuts:
         n = np.concatenate([rng.random(200_000), _NEAR_EDGES])
         got, want = self._joint_counts_both_ways(rng.integers(0, 4, n.size), n, bins)
         assert got == want
-
-    @pytest.mark.parametrize("order, size", [(4, 200_000), (2, 5_000), (300, 50_000)])
-    def test_grouping_matches_masks(self, order, size):
-        # each group in its original order: the argsort must be stable
-        rng = np.random.default_rng(order)
-        d = rng.integers(0, order, size)
-        n = rng.random(size)
-        want = np.concatenate([n[d == i] for i in range(order)])
-        assert cli._group_by_decision(n, d, order).tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_METRIC, min_size=1, max_size=400))
@@ -539,6 +538,69 @@ class TestAuditCellShortcuts:
         got = cli._audit_cell(ch, t, np.random.default_rng(21), 20_000)
         want = reference_audit.audit_cell(ch, t, np.random.default_rng(21), 20_000)
         assert got == want
+
+    @pytest.mark.parametrize("snr", [-10.0, 10.0])
+    def test_blocked_cell_matches_reference(self, snr, monkeypatch):
+        # Many blocks, a short last block and several draw rounds. The draws
+        # favour the outer symbols and the transform is the uniform 10 dB
+        # one, whose deltas overrate the inner decisions, so the first round
+        # falls short of the quota: 2 rounds at -10 dB, 3 at 10 dB.
+        monkeypatch.setattr(cli, "AUDIT_BLOCK", 4_096)
+        c = pam(4)
+        t = build_transform(ChannelModel(c, noise_variance_for_snr_db(10.0, c)), "alternating")
+        ch = ChannelModel(pam(4, priors=(0.4, 0.1, 0.1, 0.4)), noise_variance_for_snr_db(snr, c))
+        rounds = []
+        soften = reference_audit.soften
+
+        def counted(y, t):
+            rounds.append(y.size)
+            return soften(y, t)
+
+        monkeypatch.setattr(reference_audit, "soften", counted)
+        got = cli._audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        want = reference_audit.audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        assert got == want
+        assert len(rounds) >= 2 and rounds[0] > 20 * cli.AUDIT_BLOCK
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(1, 50), min_size=2, max_size=8),
+        blocks=st.lists(st.integers(0, 3_000), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_draws_match_one_draw(self, weights, blocks, seed):
+        # The audit cell relies on numpy's generator giving consecutive
+        # blocks of choice(..., p=...) and of transmit's normal draws the
+        # values of one full-size call, and leaving it in the same state.
+        priors = np.array(weights) / sum(weights)
+        c = pam(len(weights), priors=priors, bitmap=())
+        ch = ChannelModel(c, 0.7)
+        full = np.random.default_rng(seed)
+        x = full.choice(c.order, size=sum(blocks), p=c.priors)
+        y = transmit(x, ch, full)
+        parts = np.random.default_rng(seed)
+        xs = [parts.choice(c.order, size=k, p=c.priors) for k in blocks]
+        assert np.concatenate(xs).tobytes() == x.tobytes()
+        bounds = np.cumsum([0] + blocks)
+        ys = [transmit(x[a:b], ch, parts) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.concatenate(ys).tobytes() == y.tobytes()
+        assert parts.bit_generator.state == full.bit_generator.state
+
+    def test_cell_memory_stays_blocked(self):
+        # The -10 dB cell draws 916,959 samples; whole-round arrays took a
+        # 44.9 MB tracemalloc peak (49 bytes a sample), the blocked cell
+        # 11.9 MB.
+        c = pam(4)
+        ch = ChannelModel(c, noise_variance_for_snr_db(-10.0, c))
+        t = build_transform(ch, "alternating")
+        cli._audit_cell(ch, t, np.random.default_rng(0), 100)  # imports kstwo
+        tracemalloc.start()
+        try:
+            cli._audit_cell(ch, t, np.random.default_rng(0), 100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestParserSmoke:

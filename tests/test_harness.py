@@ -299,6 +299,33 @@ class TestMiSweepAndInversion:
         out = snr_at_mi(rows, mi_targets=(0.5,))
         assert out[0]["status"] == "insufficient-grid"
 
+    def test_one_point_grid_removes_stale_inversion_table(self, tmp_path):
+        # an older grid's table would disagree with the new one-point mi.csv
+        mi_sweep(tiny_spec(schemes=("hard",), snr_grid_db=(0.0, 5.0, 10.0)), out_dir=tmp_path)
+        assert (tmp_path / "snr_at_mi.csv").exists()
+        res = mi_sweep(tiny_spec(schemes=("hard",), snr_grid_db=(3.0,)), out_dir=tmp_path)
+        assert not (tmp_path / "snr_at_mi.csv").exists()
+        assert len((tmp_path / "mi.csv").read_text().splitlines()) == 1 + len(res) == 2
+
+    @pytest.mark.parametrize("targets", [(float("nan"),), (0.5, float("inf")), (-np.inf,)])
+    def test_inversion_rejects_non_finite_targets(self, targets):
+        rows = [
+            MiResult(snr_db=s, scheme="direct", config="", value_bits=s / 10.0, error_estimate=0.0)
+            for s in (1.0, 2.0)
+        ]
+        with pytest.raises(ValueError, match="mi_targets must be finite"):
+            snr_at_mi(rows, mi_targets=targets)
+
+    def test_sweep_rejects_non_finite_targets_before_any_mi(self, tmp_path, monkeypatch):
+        def no_mi(*args, **kwargs):
+            raise AssertionError("MI computed before the targets were checked")
+
+        monkeypatch.setattr(harness, "mi_hard", no_mi)
+        spec = tiny_spec(schemes=("hard",), snr_grid_db=(0.0, 5.0))
+        with pytest.raises(ValueError, match="mi_targets must be finite"):
+            mi_sweep(spec, out_dir=tmp_path / "o", mi_targets=(0.5, float("nan")))
+        assert not (tmp_path / "o").exists()
+
 
 class TestBerSweep:
     def test_point_structure(self):

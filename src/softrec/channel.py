@@ -90,7 +90,7 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
     Parameters
     ----------
     x : int or array of int
-        Symbol indices in [0, M).
+        Symbol indices in [0, M); integers, not bool, else ValueError.
     ch : ChannelModel
     rng : numpy.random.Generator
         Supplies the noise; deterministic given the generator state.
@@ -101,6 +101,8 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
         a_x + w with w ~ N(0, sigma^2), matching the shape of ``x``.
     """
     idx = np.asarray(x)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"symbol indices must be integers (not bool), got {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= ch.constellation.order):
         raise ValueError("symbol index out of range")
     clean = ch.constellation.points[idx]

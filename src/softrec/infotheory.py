@@ -98,8 +98,10 @@ class MiResult:
     config : str
         Monotonicity config name for the rrs scheme, '' otherwise.
     value_bits : float
+        Finite and not below -1e-9.
     error_estimate : float
-        Quadrature error estimate in bits (0 for closed-form results).
+        Quadrature error estimate in bits (0 for closed-form results);
+        finite.
     """
 
     snr_db: float
@@ -111,6 +113,11 @@ class MiResult:
     def __post_init__(self) -> None:
         if self.scheme not in ("direct", "hard", "rrs"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not (np.isfinite(self.value_bits) and np.isfinite(self.error_estimate)):
+            raise ValueError(
+                f"value_bits and error_estimate must be finite, got "
+                f"{self.value_bits!r} and {self.error_estimate!r}"
+            )
         if self.value_bits < -1e-9:
             raise ValueError("mutual information cannot be negative")
 
@@ -171,10 +178,10 @@ def _gk_integrate(f, edges):
 
 
 def _integrate(f, edges, what: str, max_err: float):
-    """``_gk_integrate(f, edges)``, warning ``QuadratureWarning`` when the
-    error estimate exceeds ``max_err`` bits."""
+    """``_gk_integrate(f, edges)``, warning ``QuadratureWarning`` unless the
+    error estimate is within ``max_err`` bits, so a NaN estimate warns too."""
     res, err = _gk_integrate(f, edges)
-    if err > max_err:
+    if not err <= max_err:
         warnings.warn(
             f"{what} quadrature stopped at error estimate {err:.2e} bits",
             QuadratureWarning,

@@ -69,7 +69,8 @@ class LdpcCode:
         Variable index of each edge, grouped by check, strictly ascending
         inside each check, so no check names a variable twice.
 
-    The decoder's layers are derived once, when the code is built (see
+    The decoder's layers are derived once, when the code is built, by a
+    greedy colouring of the checks in a fixed hash priority (see
     ``_colour_checks``): ``layer_chk`` lists the checks layer by layer,
     each layer in ascending check order, ``layer_ptr`` holds each layer's
     offsets into it, and ``layer_var`` holds the edges' variables in that
@@ -126,53 +127,33 @@ def _edges_of(chk_ptr: np.ndarray, checks: np.ndarray) -> np.ndarray:
 # Odd 64-bit multiplier (2^64 / golden ratio): c -> c * K mod 2^64 is a
 # bijection, so the check priorities are distinct and look random.
 _PRIORITY_HASH = np.uint64(0x9E3779B97F4A7C15)
-_FULL_WORD = np.uint64(2**64 - 1)
 
 
 def _colour_checks(chk_ptr: np.ndarray, chk_var: np.ndarray, n: int) -> np.ndarray:
     """Colour the checks so that no two checks of one colour share a variable.
 
-    Jones-Plassmann with first fit (Jones and Plassmann, "A parallel graph
-    coloring heuristic", SIAM J. Sci. Comput. 14(3), 1993): a check is
-    coloured once it outranks, by a hash priority of its index, every
-    uncoloured check it shares a variable with, and it takes the smallest
-    colour that no coloured check sharing a variable holds. Each variable
-    keeps its checks in falling priority, a pointer to the first uncoloured
-    one, and a bitmask of the colours around it (64 colours per word,
-    words added as needed), so no list of check pairs is built. A check
-    whose variables all point at it is ready; the checks of a round are
-    ready at once, share no variable, and are coloured together.
+    Greedy first fit in falling hash priority: each check takes the least
+    colour that no earlier check sharing a variable holds, read from one
+    Python-int bitmask per variable. These are the colours of Jones-Plassmann
+    with first fit (SIAM J. Sci. Comput. 14(3), 1993), which colours a check
+    after its higher-priority neighbours and before its lower-priority ones.
     """
     m = chk_ptr.size - 1
-    deg = np.diff(chk_ptr)
-    edge_chk = np.repeat(np.arange(m), deg)
-    rank = np.empty(m, dtype=np.int64)  # 0 for the highest priority
-    rank[np.argsort(~(np.arange(m, dtype=np.uint64) * _PRIORITY_HASH))] = np.arange(m)
-    # Variable-major edges, each variable's checks in falling priority.
-    by_rank = edge_chk[np.argsort(chk_var * m + rank[edge_chk])]
-    var_end = np.cumsum(np.bincount(chk_var, minlength=n))
-    head = np.concatenate(([0], var_end[:-1]))
-    pointed = np.bincount(by_rank[head], minlength=m)  # variables pointing at each check
-    used = np.zeros((n, 1), dtype=np.uint64)
+    order = np.argsort(~(np.arange(m, dtype=np.uint64) * _PRIORITY_HASH))
+    var = memoryview(chk_var)  # read in place: a list of its ints would set peak RSS
+    used = [0] * n
+    greedy = []
+    for lo, hi in zip(memoryview(chk_ptr[order]), memoryview(chk_ptr[order + 1])):
+        vs = var[lo:hi]
+        taken = 0
+        for v in vs:
+            taken |= used[v]
+        bit = ~taken & (taken + 1)  # the lowest colour not taken
+        for v in vs:
+            used[v] |= bit
+        greedy.append(bit.bit_length() - 1)
     colour = np.empty(m, dtype=np.int64)
-    ready = np.flatnonzero(pointed == deg)
-    while ready.size:
-        d = deg[ready]
-        var = chk_var[_edges_of(chk_ptr, ready)]
-        taken = np.bitwise_or.reduceat(used[var], np.cumsum(d) - d, axis=0)
-        taken = np.concatenate((taken, np.zeros((ready.size, 1), dtype=np.uint64)), axis=1)
-        word = np.argmax(taken != _FULL_WORD, axis=1)
-        if word.max() == used.shape[1]:
-            used = np.concatenate((used, np.zeros((n, 1), dtype=np.uint64)), axis=1)
-        t = taken[np.arange(ready.size), word]
-        bit = ~t & (t + np.uint64(1))
-        colour[ready] = 64 * word + np.frexp(bit.astype(float))[1] - 1
-        used[var, np.repeat(word, d)] |= np.repeat(bit, d)
-        head[var] += 1
-        var = var[head[var] < var_end[var]]
-        nxt = by_rank[head[var]]
-        np.add.at(pointed, nxt, 1)
-        ready = np.unique(nxt[pointed[nxt] == deg[nxt]])
+    colour[order] = greedy
     return colour
 
 

@@ -227,7 +227,8 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
     f_Y(y) underflows. ``n`` is clamped to [N_EPS, 1 - N_EPS] first, so an
     endpoint of an unbounded edge region, which would map to +-inf,
     saturates to the far tail instead. ``n`` outside [0, 1] or NaN, and a
-    region index out of range, raise ValueError.
+    region index that is not an integer (a bool included) or is out of
+    range, raise ValueError.
     """
     narr = np.asarray(n, dtype=float)
     iarr = np.asarray(i)
@@ -235,6 +236,8 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
         raise ValueError("metric n must not be NaN")
     if narr.size and (narr.min() < 0.0 or narr.max() > 1.0):
         raise ValueError("metric n must lie in [0, 1]")
+    if iarr.dtype.kind not in "iu":
+        raise ValueError(f"region index must be integers (not bool), got {iarr.dtype}")
     if iarr.size and (iarr.min() < 0 or iarr.max() >= t.order):
         raise ValueError("region index out of range")
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)

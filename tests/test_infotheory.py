@@ -178,6 +178,16 @@ class TestGaussKronrodRule:
             _, err = infotheory._integrate(_peaked, (0.0, 1.0), "peak", 1e-6)
         assert err > 1e-6
 
+    def test_warns_on_a_nan_integrand(self):
+        # NaN panels never pass the error test, so they bisect up to the
+        # limit; the NaN estimate they leave must not pass as small
+        def half_nan(x):
+            return np.where(x > 0.5, np.nan, 1.0)[:, None]
+
+        with pytest.warns(QuadratureWarning, match="probe quadrature"):
+            res, err = infotheory._integrate(half_nan, (0.0, 1.0), "probe", 1e-6)
+        assert np.isnan(res).all() and np.isnan(err)
+
 
 class TestQuadratureWarning:
     @pytest.mark.parametrize(
@@ -209,3 +219,11 @@ class TestMiResult:
     def test_rejects_negative_information(self):
         with pytest.raises(ValueError):
             MiResult(snr_db=0.0, scheme="direct", config="", value_bits=-0.2, error_estimate=0.0)
+
+    @pytest.mark.parametrize(
+        "value, err",
+        [(np.nan, 0.0), (np.inf, 0.0), (-np.inf, 0.0), (0.5, np.nan), (0.5, np.inf)],
+    )
+    def test_rejects_non_finite_value_or_estimate(self, value, err):
+        with pytest.raises(ValueError, match="must be finite"):
+            MiResult(snr_db=0.0, scheme="rrs", config="base", value_bits=value, error_estimate=err)

@@ -12,6 +12,7 @@ import reference_decoder
 from softrec import harness
 from softrec.constellation import pam
 from softrec.ldpc import (
+    _PRIORITY_HASH,
     PRESETS,
     LdpcCode,
     build_staircase_code,
@@ -297,22 +298,57 @@ def check_layers(code: LdpcCode) -> None:
         assert np.unique(var).size == var.size
 
 
+def check_greedy(code: LdpcCode) -> None:
+    """Each check's layer is the least one that no check of higher priority
+    sharing one of its variables holds. A check's priority is its index
+    times the odd multiplier, mod 2^64; the higher one comes first."""
+    colour = np.empty(code.m, dtype=np.int64)
+    colour[code.layer_chk] = np.repeat(np.arange(code.layer_ptr.size - 1), np.diff(code.layer_ptr))
+    colour = colour.tolist()
+    prio = [c * int(_PRIORITY_HASH) % 2**64 for c in range(code.m)]
+    rows = [code.chk_var[a:b].tolist() for a, b in zip(code.chk_ptr[:-1], code.chk_ptr[1:])]
+    checks_of = [[] for _ in range(code.n)]
+    for c, row in enumerate(rows):
+        for v in row:
+            checks_of[v].append(c)
+    for c, row in enumerate(rows):
+        held = {colour[d] for v in row for d in checks_of[v] if prio[d] > prio[c]}
+        assert colour[c] == min(set(range(len(held) + 1)) - held), c
+
+
 class TestLayers:
+    # sha256 of the preset's int64 layer arrays
+    PRESET_SHA256 = {
+        "layer_chk": "7b7eeae944726c2369e9565001231c2c7d0bcfa8990c882624eb8b8732dc5b29",
+        "layer_ptr": "267a44786929362899742bea87ac044bbe1d0301e90eedabe1851388a1774a54",
+    }
+
     def test_hamming74(self):
         # every check holds variable 7, so each layer is one check
         code = hamming74()
         check_layers(code)
+        check_greedy(code)
         assert np.diff(code.layer_ptr).tolist() == [1, 1, 1]
 
     def test_preset(self):
         code = load_code("dvbs2-r12-64800")
         check_layers(code)
+        check_greedy(code)
         assert code.layer_ptr.size - 1 == 17
+
+    def test_preset_digest(self):
+        code = load_code("dvbs2-r12-64800")
+        digests = {
+            name: hashlib.sha256(getattr(code, name).astype("<i8").tobytes()).hexdigest()
+            for name in self.PRESET_SHA256
+        }
+        assert digests == self.PRESET_SHA256
 
     @given(random_codes())
     @settings(max_examples=60, deadline=None)
     def test_random_codes(self, code):
         check_layers(code)
+        check_greedy(code)
         rebuilt = LdpcCode(n=code.n, m=code.m, chk_ptr=code.chk_ptr, chk_var=code.chk_var)
         np.testing.assert_array_equal(rebuilt.layer_chk, code.layer_chk)
         np.testing.assert_array_equal(rebuilt.layer_ptr, code.layer_ptr)
@@ -324,13 +360,14 @@ class TestLayers:
 
     def test_more_than_64_colours(self):
         # one variable in 70 checks: every check shares it, so 70 layers,
-        # which takes a second word of the colour bitmask
+        # more than one 64-bit word of colours
         m = 70
         code = LdpcCode(
             n=m + 1, m=m, chk_ptr=np.arange(0, 2 * m + 1, 2),
             chk_var=np.column_stack((np.zeros(m, dtype=np.int64), np.arange(1, m + 1))).ravel(),
         )
         check_layers(code)
+        check_greedy(code)
         assert code.layer_ptr.size - 1 == m
 
 

@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from ._kstwo import kstwo_sf
 from .channel import ChannelModel, transmit
 from .constellation import pam
 from .harness import (
@@ -380,14 +381,12 @@ def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
     """(statistic, p-value) of the two-sided one-sample KS test of the
     sorted sample ``x`` against Uniform[0, 1].
 
-    The statistic D = max(D+, D-) and the p-value clip(kstwo.sf(D, N), 0, 1)
-    are computed as ``scipy.stats.kstest(x, "uniform")`` computes them, whose
-    CDF values on [0, 1] are x itself, so both agree with it bit for bit.
-    scipy.stats is imported here, by the first audit cell, because nothing
-    else needs it and importing it costs most of the CLI's start-up.
+    The statistic D = max(D+, D-) is computed as
+    ``scipy.stats.kstest(x, "uniform")`` computes it, whose CDF values on
+    [0, 1] are x itself, and the p-value P(D_N >= D) is ``_kstwo.kstwo_sf``,
+    a port of the ``kstwo.sf`` that kstest calls, so both agree with kstest
+    bit for bit without importing scipy.stats.
     """
-    from scipy.stats import kstwo
-
     size = x.size
     # One temporary the size of x at a time; the in-place steps round as
     # the expressions (k + 1) / size - x and x - k / size do.
@@ -401,7 +400,7 @@ def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
     np.subtract(x, gap, out=gap)
     d_minus = np.max(gap)
     stat = float(max(d_plus, d_minus))
-    return stat, float(np.clip(kstwo.sf(stat, size), 0.0, 1.0))
+    return stat, kstwo_sf(stat, size)
 
 
 def _cmd_audit(resolved: dict) -> int:

@@ -46,8 +46,14 @@ def log_joint_conditional_density(n, i, j, t: SofteningTransform):
 
     Broadcasts over ``n`` (disclosed metric in [0, 1], clamped inward by
     N_EPS), ``i`` (hypothesised decision) and ``j`` (sent symbol index).
-    For fixed j its exp integrates to 1 over (n, i).
+    For fixed j its exp integrates to 1 over (n, i). A ``j`` that is not
+    an integer (a bool included) or is outside [0, M) raises ValueError.
     """
+    jarr = np.asarray(j)
+    if jarr.dtype.kind not in "iu":
+        raise ValueError(f"symbol index must be integers (not bool), got {jarr.dtype}")
+    if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
+        raise ValueError("symbol index out of range")
     y, log_jac = inverse_and_jacobian(n, i, t)
     return _log_joint_from_y(y, log_jac, j, t.channel)
 
@@ -115,10 +121,8 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
         raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     narr = np.asarray(n, dtype=float)
     jarr = np.asarray(j)
-    if jarr.dtype.kind not in "iu" or jarr.shape != narr.shape:
-        raise ValueError(f"j must be integer indices shaped like n, got {jarr.dtype} {jarr.shape}")
-    if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
-        raise ValueError("symbol index out of range")
+    if jarr.shape != narr.shape:
+        raise ValueError(f"j must be shaped like n, got {jarr.shape}")
     # One vectorized quantile solve covers all M decision hypotheses.
     logf = log_joint_conditional_density(narr[..., None], np.arange(t.order), jarr[..., None], t)
     return bit_lapprs(logf, t.channel.constellation, alpha)

@@ -148,14 +148,24 @@ def test_logsumexp_has_one_route(module):
             ("scipy.interpolate",),
             id="one-point mi_sweep to a directory",
         ),
+        pytest.param(
+            "import tempfile; from softrec import cli; "
+            "out = tempfile.TemporaryDirectory(); "
+            "cli.main(['audit', '--snr=0', '--configs=base', "
+            "'--samples-per-decision=100', '--out=' + out.name]); "
+            "out.cleanup()",
+            ("scipy.stats",),
+            id="one-cell audit",
+        ),
     ],
 )
 def test_import_leaves_heavy_scipy_out(statement, absent):
     # scipy.interpolate (with scipy.linalg, scipy.optimize and scipy.sparse)
-    # and scipy.stats dominate a cold start; only the audit's KS test imports
-    # scipy.stats, and only snr_at_mi scipy.interpolate, when they first run,
-    # so a one-point mi_sweep with no output directory (the benchmark's MI
-    # operation) loads neither, and writing its mi.csv does not either
+    # and scipy.stats dominate a cold start; only snr_at_mi imports
+    # scipy.interpolate, when it first runs, so a one-point mi_sweep with no
+    # output directory (the benchmark's MI operation) does not load it, and
+    # writing its mi.csv does not either; the audit's KS test has its own
+    # tail, so no command imports scipy.stats
     src = str(Path(softrec.__file__).resolve().parents[1])
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -593,7 +593,7 @@ class TestAuditCellShortcuts:
         c = pam(4)
         ch = ChannelModel(c, noise_variance_for_snr_db(-10.0, c))
         t = build_transform(ch, "alternating")
-        cli._audit_cell(ch, t, np.random.default_rng(0), 100)  # imports kstwo
+        cli._audit_cell(ch, t, np.random.default_rng(0), 100)  # first-call allocations
         tracemalloc.start()
         try:
             cli._audit_cell(ch, t, np.random.default_rng(0), 100_000)

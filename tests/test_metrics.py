@@ -65,6 +65,22 @@ class TestJointConditionalDensity:
         for i in range(4):
             assert np.all(np.exp(log_joint_conditional_density(n, i, 2, t_base)) >= 0)
 
+    @pytest.mark.parametrize(
+        "j, match",
+        [
+            (True, "must be integers"),  # a bool was read as a mask over the symbols
+            (1.0, "must be integers"),
+            (np.array([1.0, 2.0]), "must be integers"),
+            ([], "must be integers"),
+            (4, "out of range"),
+            (-1, "out of range"),  # numpy would wrap it to the last symbol
+        ],
+        ids=["bool", "float", "float array", "empty list", "too large", "negative"],
+    )
+    def test_rejects_bad_symbol_index(self, t_base, j, match):
+        with pytest.raises(ValueError, match=match):
+            log_joint_conditional_density(0.5, 0, j, t_base)
+
 
 class TestLappr:
     def test_matches_bayes_recomputation(self, t_base, t_alt):
@@ -119,10 +135,13 @@ class TestLappr:
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 lappr_batch([0.5], [0], t_base, alpha=bad)
         # j is one integer symbol index per slot of n: a shorter j would
-        # broadcast j[0] to every slot, and a float or bool j would fail as
-        # an index deep in the density
-        for bad_j in ([1], [1, 2, 3, 0], [1.0, 2.0, 0.0], [True, False, True], [[1, 2, 0]]):
-            with pytest.raises(ValueError, match="j must be integer indices shaped like n"):
+        # broadcast j[0] to every slot, and a float or bool j is refused by
+        # the density
+        for bad_j in ([1], [1, 2, 3, 0], [[1, 2, 0]]):
+            with pytest.raises(ValueError, match="j must be shaped like n"):
+                lappr_batch([0.3, 0.4, 0.5], bad_j, t_base)
+        for bad_j in ([1.0, 2.0, 0.0], [True, False, True]):
+            with pytest.raises(ValueError, match="symbol index must be integers"):
                 lappr_batch([0.3, 0.4, 0.5], bad_j, t_base)
 
 

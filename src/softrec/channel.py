@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from softrec.constellation import Constellation
+from softrec.constellation import Constellation, _indices
 
 __all__ = [
     "ChannelModel",
@@ -100,11 +100,7 @@ def transmit(x, ch: ChannelModel, rng: np.random.Generator):
     float or ndarray
         a_x + w with w ~ N(0, sigma^2), matching the shape of ``x``.
     """
-    idx = np.asarray(x)
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"symbol indices must be integers (not bool), got {idx.dtype}")
-    if idx.size and (idx.min() < 0 or idx.max() >= ch.constellation.order):
-        raise ValueError("symbol index out of range")
+    idx = _indices(x, ch.constellation.order, "symbol indices")
     clean = ch.constellation.points[idx]
     return _shaped(idx, clean + rng.normal(0.0, ch.sigma, size=idx.shape))
 

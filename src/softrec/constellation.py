@@ -249,25 +249,33 @@ def decide(y, regions: DecisionRegions):
     return idx.astype(np.int64)
 
 
+def _indices(x, order: int, what: str) -> np.ndarray:
+    """``x`` as indices in [0, order), the package's one index rule: a bool
+    dtype (numpy's mask), a float one (an empty list's too) or an index out
+    of range raises ValueError, its message led by ``what``."""
+    idx = np.asarray(x)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers (not bool), got {idx.dtype}")
+    if idx.size and (idx.min() < 0 or idx.max() >= order):
+        raise ValueError(f"{what} out of range")
+    return idx
+
+
 def demap(indices, c: Constellation) -> np.ndarray:
     """Concatenated bit labels for a sequence of symbol indices.
 
     Parameters
     ----------
-    indices : sequence of int
-        Symbol indices in [0, M).
+    indices : int or array of int
+        Symbol indices in [0, M), any shape, read in C order; a bool,
+        a float or an index out of range raises ValueError.
     c : Constellation
 
     Returns
     -------
-    ndarray of uint8, shape (L * len(indices),)
+    ndarray of uint8, shape (L * indices.size,)
     """
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        idx = idx.reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= c.order):
-        raise ValueError("symbol index out of range")
-    return c.bits[idx].reshape(-1)
+    return c.bits[_indices(indices, c.order, "symbol index")].reshape(-1)
 
 
 def bit_partitions(c: Constellation, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

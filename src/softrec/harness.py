@@ -109,7 +109,8 @@ class ExperimentSpec:
         Preset name, alist path, or alist text (BER sweeps only); loaded
         here, so a bad source fails when the spec is built.
     alpha : float
-        LAPPR scaling for the rrs decoder input; finite and > 0.
+        LAPPR scaling for the rrs decoder input; finite and > 0, not a
+        bool, and stored as a float.
     frames_per_point : int
         Cap on simulated frames per (snr, scheme, config) cell.
     master_seed : int
@@ -158,8 +159,9 @@ class ExperimentSpec:
             if len(c.signs) != m:
                 raise ValueError(f"config {c} does not match constellation order {m}")
         object.__setattr__(self, "configs", configs)
-        if not 0 < self.alpha < np.inf:
+        if isinstance(self.alpha, (bool, np.bool_)) or not 0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         for name, least in _COUNT_MINIMA.items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:

@@ -27,6 +27,7 @@ built-in presets:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
@@ -172,11 +173,22 @@ class DecodeOutcome:
     iterations_used: int
 
 
+def _bits(x, k: int, what: str) -> np.ndarray:
+    """``x`` as a uint8 vector of length ``k``, the package's one bit rule:
+    a shape other than (k,), a dtype other than integer or bool, or a value
+    outside {0, 1} raises ValueError, its message naming ``what``."""
+    b = np.asarray(x)
+    if b.shape != (k,):
+        raise ValueError(f"expected {k} {what}, got shape {b.shape}")
+    if b.dtype.kind not in "biu" or b.min() < 0 or b.max() > 1:
+        raise ValueError(f"{what} must be integers or bools in {{0, 1}}, got {b.dtype}")
+    return b.astype(np.uint8, copy=False)
+
+
 def syndrome(code: LdpcCode, bits) -> np.ndarray:
-    """GF(2) syndrome H b of a length-n bit vector."""
-    b = np.asarray(bits, dtype=np.uint8)
-    if b.shape != (code.n,):
-        raise ValueError(f"expected {code.n} bits, got shape {b.shape}")
+    """GF(2) syndrome H b, as uint8, of a length-n vector of integer or bool
+    bits in {0, 1}; anything else raises ValueError."""
+    b = _bits(bits, code.n, "bits")
     return np.bitwise_xor.reduceat(b[code.chk_var], code.chk_ptr[:-1])
 
 
@@ -212,9 +224,10 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     lapprs : array, shape (n,)
         Finite log-ratios log(P(bit=0)/P(bit=1)); pre-clamp them.
     target : array, shape (m,)
-        Syndrome bits of the sequence being reconstructed.
+        Syndrome bits of the sequence being reconstructed: integers or
+        bools in {0, 1}, as ``syndrome`` takes its bits.
     max_iters : int
-        Sweep limit; >= 1.
+        Sweep limit; an integer >= 1, not a bool.
 
     Returns
     -------
@@ -226,11 +239,9 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
         raise ValueError(f"expected {code.n} soft inputs, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("soft inputs must be finite")
-    tgt = np.asarray(target, dtype=np.uint8)
-    if tgt.shape != (code.m,):
-        raise ValueError(f"expected {code.m} syndrome bits, got shape {tgt.shape}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    tgt = _bits(target, code.m, "syndrome bits")
+    if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral) or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
 
     # Per layer: its edge slice, the variables of those edges, each check's
     # first edge and degree within the slice, and the target syndrome bit

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from softrec.channel import _LOG_SQRT_2PI, ChannelModel, _logsumexp
-from softrec.constellation import Constellation, bit_partitions
+from softrec.constellation import Constellation, _indices, bit_partitions
 from softrec.softening import SofteningTransform, inverse_and_jacobian
 
 __all__ = [
@@ -35,7 +35,7 @@ LAPPR_CLAMP = 50.0
 def _log_joint_from_y(y, log_jac, j, ch: ChannelModel):
     """log f(n, i | j) = log f_{Y|X}(y | a_j) - log|g_i'(y)|, from the
     y = g_i^{-1}(n) and log|g_i'| that ``inverse_and_jacobian`` returns."""
-    aj = ch.constellation.points[np.asarray(j)]
+    aj = ch.constellation.points[j]
     log_fyx = -((y - aj) ** 2) / (2.0 * ch.noise_variance) - _LOG_SQRT_2PI - np.log(ch.sigma)
     return log_fyx - log_jac
 
@@ -49,13 +49,9 @@ def log_joint_conditional_density(n, i, j, t: SofteningTransform):
     For fixed j its exp integrates to 1 over (n, i). A ``j`` that is not
     an integer (a bool included) or is outside [0, M) raises ValueError.
     """
-    jarr = np.asarray(j)
-    if jarr.dtype.kind not in "iu":
-        raise ValueError(f"symbol index must be integers (not bool), got {jarr.dtype}")
-    if jarr.size and (jarr.min() < 0 or jarr.max() >= t.order):
-        raise ValueError("symbol index out of range")
+    jarr = _indices(j, t.order, "symbol index")
     y, log_jac = inverse_and_jacobian(n, i, t)
-    return _log_joint_from_y(y, log_jac, j, t.channel)
+    return _log_joint_from_y(y, log_jac, jarr, t.channel)
 
 
 def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:

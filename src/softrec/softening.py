@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from softrec.channel import ChannelModel, log_output_density, output_cdf, output_quantile
-from softrec.constellation import DecisionRegions, decide, map_decision_regions
+from softrec.constellation import DecisionRegions, _indices, decide, map_decision_regions
 
 __all__ = [
     "MonotonicityConfig",
@@ -231,15 +231,11 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
     range, raise ValueError.
     """
     narr = np.asarray(n, dtype=float)
-    iarr = np.asarray(i)
     if np.isnan(narr).any():
         raise ValueError("metric n must not be NaN")
     if narr.size and (narr.min() < 0.0 or narr.max() > 1.0):
         raise ValueError("metric n must lie in [0, 1]")
-    if iarr.dtype.kind not in "iu":
-        raise ValueError(f"region index must be integers (not bool), got {iarr.dtype}")
-    if iarr.size and (iarr.min() < 0 or iarr.max() >= t.order):
-        raise ValueError("region index out of range")
+    iarr = _indices(i, t.order, "region index")
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)
     # hi + nc * (-dF) is hi - nc * dF bit for bit: negation is exact.
     p = t.ref[iarr] + nc * t.mass[iarr]

@@ -99,6 +99,41 @@ def _bound_names(node):
     return [n.id for t in targets if t is not None for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+# The entry points that take symbol or region indices, by module.
+_INDEX_TAKERS = {
+    "channel": "transmit",
+    "constellation": "demap",
+    "softening": "inverse_and_jacobian",
+    "metrics": "log_joint_conditional_density",
+}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_index_rule_is_written_once(module):
+    # constellation._indices holds the package's one integer-index test,
+    # `.dtype.kind not in "iu"`, and every entry point that takes symbol or
+    # region indices calls it; a copy written out elsewhere fails here
+    tree = ast.parse((Path(softrec.__file__).parent / f"{module}.py").read_text())
+    tests = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Attribute) and node.left.attr == "kind"
+        and isinstance(node.left.value, ast.Attribute) and node.left.value.attr == "dtype"
+        and isinstance(node.ops[0], ast.NotIn)
+        and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == "iu"
+    ]
+    assert len(tests) == (module == "constellation")
+    if module in _INDEX_TAKERS:
+        defined = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        calls = {
+            node.func.id
+            for node in ast.walk(defined[_INDEX_TAKERS[module]])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert "_indices" in calls
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_logsumexp_has_one_route(module):
     # channel._logsumexp gives scipy's bits in plain numpy, without scipy's

@@ -86,18 +86,6 @@ class TestTransmit:
         with pytest.raises(ValueError):
             transmit(-1, ch4_0db, rng)
 
-    @pytest.mark.parametrize(
-        "x", [np.array([True, True]), True, np.array([0.0, 1.0]), 1.0, []],
-        ids=["bool array", "bool", "float array", "float", "empty list"],
-    )
-    def test_rejects_non_integer_symbols(self, ch4_0db, x):
-        # a bool array would index as a mask ([True, True] sends symbols 0
-        # and 1), and a float one would raise IndexError deep in numpy
-        rng = np.random.default_rng(3)
-        with pytest.raises(ValueError, match="symbol indices must be integers"):
-            transmit(x, ch4_0db, rng)
-        assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
-
 
 class TestOutputDensity:
     def test_frozen_value(self, ch4_0db):

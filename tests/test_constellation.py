@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softrec.channel import transmit
 from softrec.constellation import (
     bit_partitions,
     decide,
@@ -13,6 +14,8 @@ from softrec.constellation import (
     map_decision_regions,
     pam,
 )
+from softrec.metrics import lappr_batch, log_joint_conditional_density
+from softrec.softening import inverse_and_jacobian
 
 
 class TestPam:
@@ -246,3 +249,37 @@ class TestDecideMatchesSearchsorted:
         regions = map_decision_regions(c, float(np.exp(log_var)))
         ys = np.concatenate([_near_boundaries(regions), c.points, y])
         np.testing.assert_array_equal(decide(ys, regions), _oracle(ys, regions))
+
+
+# Every entry point that takes symbol or region indices, called on the PAM-4
+# base transform with ``x`` in the index slot (and n shaped like it, as
+# lappr_batch asks); each reaches constellation._indices.
+_INDEX_TAKERS = {
+    "transmit": lambda x, t, rng: transmit(x, t.channel, rng),
+    "demap": lambda x, t, rng: demap(x, t.channel.constellation),
+    "inverse_and_jacobian": lambda x, t, rng: inverse_and_jacobian(0.5, x, t),
+    "log_joint_conditional_density": lambda x, t, rng: log_joint_conditional_density(0.5, 0, x, t),
+    "lappr_batch": lambda x, t, rng: lappr_batch(np.full(np.shape(x), 0.5), x, t),
+}
+
+
+@pytest.mark.parametrize("entry", _INDEX_TAKERS)
+@pytest.mark.parametrize(
+    "x, match",
+    [
+        (True, "must be integers"),  # numpy reads a bool as a mask, an int cast as 1
+        (np.array([True, False]), "must be integers"),
+        (1.0, "must be integers"),  # numpy raises IndexError on a float
+        (np.array([0.0, 2.9]), "must be integers"),  # an int cast reads 2.9 as 2
+        ([], "must be integers"),  # an empty list's dtype is float
+        (4, "out of range"),
+        (np.array([0, -1]), "out of range"),  # numpy would wrap it to symbol 3
+    ],
+    ids=["bool", "bool array", "float", "float array", "empty list", "too large", "negative"],
+)
+def test_index_rule(t_base, entry, x, match):
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match=match):
+        _INDEX_TAKERS[entry](x, t_base, rng)
+    # transmit fails before it draws any noise
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state

@@ -86,9 +86,18 @@ class TestExperimentSpec:
             tiny_spec(snr_grid_db=(0.0, bad))
 
     def test_rejects_bad_alpha(self):
-        for bad in (0.0, -1.0, float("inf"), float("nan"), -float("inf")):
+        for bad in (0.0, -1.0, float("inf"), float("nan"), -float("inf"), True, np.True_):
             with pytest.raises(ValueError, match="alpha must be finite and > 0"):
                 tiny_spec(alpha=bad)
+
+    @pytest.mark.parametrize("alpha", [1, np.float64(0.65)], ids=["int", "numpy float"])
+    def test_alpha_is_stored_as_a_float(self, alpha, tmp_path):
+        # ber.csv writes the alpha column as the CLI's float alpha reads
+        spec = tiny_spec(alpha=alpha, frames_per_point=1)
+        assert type(spec.alpha) is float and spec.alpha == alpha
+        path = tmp_path / "ber.csv"
+        write_ber_csv(ber_sweep(spec), path)
+        assert path.read_text().splitlines()[1].split(",")[3] == repr(float(alpha))
 
     def test_rejects_bad_counts(self):
         # a float or bool count fails here, not inside a frame

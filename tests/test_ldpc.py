@@ -116,6 +116,22 @@ class TestSyndrome:
         with pytest.raises(ValueError):
             syndrome(hamming74(), np.zeros(6, dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "first",
+        [2, -1, 0.9],  # a uint8 cast would give syndrome [2 0 0], a 255, a 0
+        ids=["two", "negative", "float"],
+    )
+    def test_rejects_non_bits(self, first):
+        with pytest.raises(ValueError, match="bits must be integers or bools in"):
+            syndrome(hamming74(), [first, 0, 0, 0, 0, 0, 0])
+
+    def test_bool_bits_are_bits(self):
+        code = hamming74()
+        w = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)
+        got = syndrome(code, w.astype(bool))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, syndrome(code, w))
+
 
 class TestAlist:
     def test_roundtrip_hamming(self):
@@ -261,6 +277,22 @@ class TestDecode:
             decode(code, np.zeros(7), np.zeros(2, dtype=np.uint8))
         with pytest.raises(ValueError):
             decode(code, np.zeros(7), np.zeros(3, dtype=np.uint8), max_iters=0)
+
+    @pytest.mark.parametrize(
+        "target",
+        [[1.9, 0, 0], [2, 0, 0]],  # a uint8 cast would aim at [1 0 0] and [2 0 0]
+        ids=["float", "two"],
+    )
+    def test_rejects_non_bit_target(self, target):
+        code = hamming74()
+        lam = self.strong_llrs(np.array([1, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(ValueError, match="syndrome bits must be integers or bools in"):
+            decode(code, lam, target)
+
+    @pytest.mark.parametrize("max_iters", [True, 2.5], ids=["bool", "float"])
+    def test_rejects_non_integer_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            decode(hamming74(), np.zeros(7), np.zeros(3, dtype=np.uint8), max_iters=max_iters)
 
 
 @st.composite

@@ -65,22 +65,6 @@ class TestJointConditionalDensity:
         for i in range(4):
             assert np.all(np.exp(log_joint_conditional_density(n, i, 2, t_base)) >= 0)
 
-    @pytest.mark.parametrize(
-        "j, match",
-        [
-            (True, "must be integers"),  # a bool was read as a mask over the symbols
-            (1.0, "must be integers"),
-            (np.array([1.0, 2.0]), "must be integers"),
-            ([], "must be integers"),
-            (4, "out of range"),
-            (-1, "out of range"),  # numpy would wrap it to the last symbol
-        ],
-        ids=["bool", "float", "float array", "empty list", "too large", "negative"],
-    )
-    def test_rejects_bad_symbol_index(self, t_base, j, match):
-        with pytest.raises(ValueError, match=match):
-            log_joint_conditional_density(0.5, 0, j, t_base)
-
 
 class TestLappr:
     def test_matches_bayes_recomputation(self, t_base, t_alt):

@@ -278,16 +278,6 @@ class TestTailSaturation:
         with pytest.raises(ValueError):
             soften(np.nan, t_base)
 
-    @pytest.mark.parametrize(
-        "i", [True, np.array([True, False]), 1.0, np.array([0.0, 1.0]), []],
-        ids=["bool", "bool array", "float", "float array", "empty list"],
-    )
-    def test_rejects_non_integer_region(self, t_base, i):
-        # a bool would index as a mask (True returns a (1, 4) array over
-        # every region), and a float would raise IndexError deep in numpy
-        with pytest.raises(ValueError, match="region index must be integers"):
-            inverse_and_jacobian(0.5, i, t_base)
-
     @pytest.mark.parametrize("n", [np.nan, np.full(3, np.nan), np.array([0.2, np.nan, 1.5])])
     def test_rejects_nan_without_a_warning(self, t_base, n):
         # a NaN in n (a scalar, a whole array, or beside a value past 1)

@@ -302,26 +302,36 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
 
     Each draw round first draws all its symbols, ``AUDIT_BLOCK`` at a time,
     into one array of the smallest unsigned type that holds them. Then,
-    block by block, it sends them through the channel, softens them and
-    appends each decision's metrics, ``n[d == i]``, to that decision's
-    parts. Consecutive blocks of numpy's ``choice`` and ``normal`` draw
-    what one full-size call draws, and ``soften`` is elementwise, so the
-    parts hold each decision's metrics in draw order, bit for bit as a
-    cell drawn in one piece would.
+    block by block, it sends them through the channel and softens them, and
+    writes one ``uint64`` sort key per sample, ``(d & 3) << 62 | bits(n)``.
+    ``soften`` returns n in [0, 1] with no -0.0, so the IEEE pattern of n
+    read as an unsigned integer lies below 2**62 and orders as n does, and
+    the key orders by (decision, metric). Consecutive blocks of the symbol
+    draw and of ``normal`` draw what one full-size call draws, and
+    ``soften`` is elementwise, so the keys are bit for bit those of a cell
+    drawn in one piece.
 
-    After the last round each decision's parts are joined into its group
-    and freed, and the group is sorted once, in place. Both tests read it:
+    Up to PAM-4 the keys go straight into one array per round. A larger
+    order keeps one list of parts per four decisions, split per block by
+    ``d >> 2``. After the last round each such array (the rounds joined if
+    there were several) is sorted once, in place, and its top two bits
+    cleared; each decision's metrics are then the sorted float slice
+    between the cumulative decision counts. Both tests read that slice:
     its row of the (decision, metric bin) histogram is a ``searchsorted``
-    of the bin edges, and the KS statistic is a pass over it. A cell so
-    holds 1 byte per drawn sample for the symbol and 8 for its metric, plus
-    one decision's group and one KS temporary: a 12 MB peak, 13 bytes a
-    sample, at -10 dB, where a cell draws 916,959 samples.
+    of the bin edges, and the KS statistic is a pass over it. A PAM-4 cell
+    so holds 1 byte per drawn sample for the symbol and 8 for its key, plus
+    one block's temporaries and one KS temporary the size of a decision's
+    slice: an 11.9 MB peak, 13 bytes a sample, at -10 dB, where a cell
+    draws 916,959 samples.
     """
     analytic = leakage(transform)
     c = ch.constellation
     order = c.order
+    cdf = np.cumsum(c.priors)
+    cdf /= cdf[-1]
     counts = np.zeros(order, dtype=np.int64)
-    parts: list = [[] for _ in range(order)]
+    groups = -(-order // 4)
+    parts: list = [[] for _ in range(groups)]
     # Draw until every decision has its quota; the round size targets the
     # rarest decision, so a couple of rounds normally suffice.
     min_delta = float(np.min(transform.deltas))
@@ -330,25 +340,38 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
         size = min(4_000_000, max(50_000, int(1.3 * need / min_delta)))
         x = np.empty(size, dtype=np.min_scalar_type(order - 1))
         for s in range(0, size, AUDIT_BLOCK):
-            block = x[s : s + AUDIT_BLOCK]
-            block[:] = rng.choice(order, size=block.size, p=c.priors)
+            _draw_symbols(rng, cdf, x[s : s + AUDIT_BLOCK])
+        if groups == 1:
+            keys = np.empty(size, dtype=np.uint64)
+            parts[0].append(keys)
         for s in range(0, size, AUDIT_BLOCK):
             n, d = soften(transmit(x[s : s + AUDIT_BLOCK], ch, rng), transform)
-            for i in range(order):
-                part = n[d == i]
-                parts[i].append(part)
-                counts[i] += part.size
+            counts += np.bincount(d, minlength=order)
+            key = keys[s : s + AUDIT_BLOCK] if groups == 1 else np.empty(n.size, np.uint64)
+            np.bitwise_and(d, 3, out=key, casting="unsafe")
+            key <<= 62
+            key |= n.view(np.uint64)
+            if groups > 1:
+                high = d >> 2
+                for g in range(groups):
+                    parts[g].append(key[high == g])
         del x
 
     joint = np.empty((order, MC_BINS), dtype=np.int64)
     ks_min = 1.0
-    for i in range(order):
-        group = np.concatenate(parts[i])
-        parts[i] = None
-        group.sort()
-        joint[i] = _bin_counts(group)
-        ks_min = min(ks_min, _ks_uniform(group)[1])
-        del group
+    for g in range(groups):
+        keys = parts[g][0] if len(parts[g]) == 1 else np.concatenate(parts[g])
+        parts[g] = None
+        keys.sort()
+        keys &= 2**62 - 1
+        metrics = keys.view(float)
+        lo = 0
+        for i in range(4 * g, min(4 * g + 4, order)):
+            group = metrics[lo : lo + counts[i]]
+            lo += counts[i]
+            joint[i] = _bin_counts(group)
+            ks_min = min(ks_min, _ks_uniform(group)[1])
+        del keys, metrics, group
 
     # Plug-in MI of the (decision, binned metric) joint with the
     # Miller-Madow correction; zero leakage shows up at the sampling floor.
@@ -363,6 +386,22 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     k_c = int(np.count_nonzero(pc))
     mc -= (k_j - k_r - k_c + 1) / (2.0 * total * np.log(2.0))
     return analytic, mc, ks_min
+
+
+def _draw_symbols(rng, cdf: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with symbols drawn by inversion from ``cdf``.
+
+    ``cdf`` is ``priors.cumsum()`` divided by its last entry, as
+    ``Generator.choice(M, p=priors)`` forms it, and each symbol is the
+    number of inner edges at or below one ``rng.random`` uniform u, the
+    index that choice's ``searchsorted(side="right")`` returns (the last
+    edge is 1 and u < 1). So ``out`` gets choice's symbols and ``rng`` its
+    state, from M - 1 comparisons a sample in place of a binary search.
+    """
+    u = rng.random(out.size)
+    np.greater_equal(u, cdf[0], out=out)
+    for edge in cdf[1:-1]:
+        out += u >= edge
 
 
 def _bin_counts(x: np.ndarray) -> np.ndarray:

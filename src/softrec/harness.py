@@ -42,7 +42,7 @@ from .channel import ChannelModel, transmit
 from .constellation import Constellation, decide, demap, map_decision_regions
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
-from .metrics import bit_lapprs, lappr_batch
+from .metrics import _alpha, bit_lapprs, lappr_batch
 from .softening import MonotonicityConfig, SofteningTransform, build_transform, soften
 
 __all__ = [
@@ -159,9 +159,7 @@ class ExperimentSpec:
             if len(c.signs) != m:
                 raise ValueError(f"config {c} does not match constellation order {m}")
         object.__setattr__(self, "configs", configs)
-        if isinstance(self.alpha, (bool, np.bool_)) or not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > 0, got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         for name, least in _COUNT_MINIMA.items():
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:

@@ -32,6 +32,14 @@ __all__ = [
 LAPPR_CLAMP = 50.0
 
 
+def _alpha(alpha) -> float:
+    """The LAPPR scaling ``alpha`` as a float: a finite number > 0 and not a
+    bool (numpy's ``np.True_`` included), or ValueError."""
+    if isinstance(alpha, (bool, np.bool_)) or not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    return float(alpha)
+
+
 def _log_joint_from_y(y, log_jac, j, ch: ChannelModel):
     """log f(n, i | j) = log f_{Y|X}(y | a_j) - log|g_i'(y)|, from the
     y = g_i^{-1}(n) and log|g_i'| that ``inverse_and_jacobian`` returns."""
@@ -67,7 +75,8 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
     c : Constellation
         Supplies the bit labeling.
     alpha : float
-        Multiplicative scaling applied before clamping, overflow included.
+        Multiplicative scaling applied before clamping, overflow included;
+        finite and > 0, and not a bool.
 
     Returns
     -------
@@ -76,6 +85,7 @@ def bit_lapprs(logw, c: Constellation, alpha: float = 1.0) -> np.ndarray:
         the same over those whose bit l is 1), each summing the symbols'
         columns in symbol order, clamped to +-LAPPR_CLAMP.
     """
+    alpha = _alpha(alpha)
     nbits = c.bits_per_symbol
     out = np.empty(logw.shape[:-1] + (nbits,), dtype=float)
     for l in range(nbits):
@@ -103,7 +113,8 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
     t : SofteningTransform
     alpha : float
         Multiplicative scaling applied before clamping; finite and > 0,
-        since an infinite one times an equal pair of log-sums is NaN. 1.0
+        since an infinite one times an equal pair of log-sums is NaN, and
+        not a bool, which would read as 1 or 0. 1.0
         leaves the log-ratios untouched. 0.65 is the documented tuned
         preset for the bundled rate-1/2 decoder.
 
@@ -113,8 +124,7 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
         [s, l] = clamp(alpha * log(sum_{i: bit_l(i)=0} f / sum_{i: bit_l(i)=1} f))
         with f = f(n[s], i | j[s]) and the constellation's bit labeling.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
+    alpha = _alpha(alpha)
     narr = np.asarray(n, dtype=float)
     jarr = np.asarray(j)
     if jarr.shape != narr.shape:

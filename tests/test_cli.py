@@ -539,6 +539,26 @@ class TestAuditCellShortcuts:
         want = reference_audit.audit_cell(ch, t, np.random.default_rng(21), 20_000)
         assert got == want
 
+    @pytest.mark.parametrize("cfg", ["base", "alternating"])
+    @pytest.mark.parametrize(
+        "order, priors, snr",
+        [
+            (2, None, -10.0),
+            (2, None, 10.0),
+            # an uneven PAM-8 takes the split by d >> 2 into two key arrays;
+            # at 0 dB and below its priors leave a MAP decision region empty
+            (8, (0.16, 0.12, 0.14, 0.1, 0.13, 0.11, 0.09, 0.15), 10.0),
+        ],
+        ids=["pam2--10.0", "pam2-10.0", "pam8-skewed-10.0"],
+    )
+    def test_other_orders_match_reference(self, order, priors, snr, cfg):
+        c = pam(order, priors=priors)
+        ch = ChannelModel(c, noise_variance_for_snr_db(snr, c))
+        t = build_transform(ch, cfg)
+        got = cli._audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        want = reference_audit.audit_cell(ch, t, np.random.default_rng(21), 20_000)
+        assert got == want
+
     @pytest.mark.parametrize("snr", [-10.0, 10.0])
     def test_blocked_cell_matches_reference(self, snr, monkeypatch):
         # Many blocks, a short last block and several draw rounds. The draws
@@ -586,10 +606,30 @@ class TestAuditCellShortcuts:
         assert np.concatenate(ys).tobytes() == y.tobytes()
         assert parts.bit_generator.state == full.bit_generator.state
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=64),
+        size=st.integers(0, 3_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_comparison_draw_is_choice(self, weights, size, seed):
+        # the cell's symbol draw gives Generator.choice's symbols and state
+        priors = np.array(weights) / sum(weights)
+        cdf = np.cumsum(priors)
+        cdf /= cdf[-1]
+        want_rng = np.random.default_rng(seed)
+        want = want_rng.choice(priors.size, size=size, p=priors)
+        got_rng = np.random.default_rng(seed)
+        got = np.empty(size, dtype=np.min_scalar_type(priors.size - 1))
+        cli._draw_symbols(got_rng, cdf, got)
+        assert got.tolist() == want.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_cell_memory_stays_blocked(self):
         # The -10 dB cell draws 916,959 samples; whole-round arrays took a
         # 44.9 MB tracemalloc peak (49 bytes a sample), the blocked cell
-        # 11.9 MB.
+        # with per-decision parts 11.93 MB, and the one sorted key array
+        # 11.93 MB.
         c = pam(4)
         ch = ChannelModel(c, noise_variance_for_snr_db(-10.0, c))
         t = build_transform(ch, "alternating")

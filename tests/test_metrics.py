@@ -12,7 +12,8 @@ from scipy.special import logsumexp
 
 import reference_density
 from softrec.channel import _logsumexp
-from softrec.constellation import bit_partitions
+from softrec.constellation import bit_partitions, pam
+from softrec.harness import ExperimentSpec
 from softrec.infotheory import transition_matrix
 from softrec.metrics import (
     LAPPR_CLAMP,
@@ -150,6 +151,26 @@ class TestBitLapprs:
             warnings.simplefilter("error")
             got = bit_lapprs(logw, pam4)
         assert got[:, 0].tolist() == [LAPPR_CLAMP, -LAPPR_CLAMP]
+
+
+# Every entry point that takes the LAPPR scaling, called with one alpha.
+_ALPHA_TAKERS = {
+    "ExperimentSpec": lambda t, alpha: ExperimentSpec(pam(4), (0.0,), alpha=alpha),
+    "lappr_batch": lambda t, alpha: lappr_batch([0.5], [1], t, alpha=alpha),
+    "bit_lapprs": lambda t, alpha: bit_lapprs(np.zeros((1, 4)), pam(4), alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ALPHA_TAKERS))
+@pytest.mark.parametrize(
+    "alpha",
+    [True, np.True_, float("nan"), float("inf"), -float("inf"), 0.0, -1.0],
+    ids=["True", "np.True_", "nan", "inf", "-inf", "zero", "negative"],
+)
+def test_alpha_rule(t_base, entry, alpha):
+    # a bool would read as 1 (or 0) and a negative alpha would flip every sign
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        _ALPHA_TAKERS[entry](t_base, alpha)
 
 
 @st.composite

@@ -77,6 +77,7 @@ move.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -368,10 +369,12 @@ class TestSolverPins:
 
 
 class TestGoldenOutputs:
-    # The bytes of three CLI outputs: a small coded-BER sweep over all three
-    # schemes, the stdout of one 64800-bit reconciliation frame, and the MI
+    # The bytes of four CLI outputs: a small coded-BER sweep over all three
+    # schemes, the stdout of one 64800-bit reconciliation frame, the MI
     # curves of the default schemes and configs with their SNR-at-MI table
-    # (16 of its 24 rows ok).
+    # (16 of its 24 rows ok), and a six-cell disclosure audit's stdout and
+    # its ``audit-cell`` run-log records. The audit digests were recorded
+    # before the cell sorted one key array and drew symbols by comparison.
     BER_ARGS = [
         "ber-sweep", "--snr", "3,6", "--code", "hamming74", "--frames", "8",
         "--schemes", "direct,hard,rrs", "--seed", "11",
@@ -386,6 +389,15 @@ class TestGoldenOutputs:
     MI_SHA256 = {
         "mi.csv": "507f75462aa6f40e1c078d28bfdc6fc789a9899bb8d74f17079f62a22513138a",
         "snr_at_mi.csv": "f17e8047e97a6deaecc08f76c8295288903ef0c10b4c0b4cb84e19e252ef0219",
+    }
+
+    AUDIT_ARGS = [
+        "audit", "--snr=-10,0,10", "--configs", "base,alternating",
+        "--samples-per-decision", "100000", "--seed", "10",
+    ]
+    AUDIT_SHA256 = {
+        "stdout": "5171169c950860796df594db5f098d73d3c088b63298be0ace9eb8b4548a46b4",
+        "audit-cell": "a7d22a210d0116cff9c39d8b3b3e7c8f2d9f4d724742150fdf4b83f117228b2d",
     }
 
     def test_ber_csv(self, tmp_path):
@@ -406,3 +418,15 @@ class TestGoldenOutputs:
             for name in self.MI_SHA256
         }
         assert digests == self.MI_SHA256
+
+    def test_audit_stdout_and_cells(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(self.AUDIT_ARGS + ["--out", str(tmp_path)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        lines = (tmp_path / "run_log.jsonl").read_bytes().splitlines(keepends=True)
+        cells = b"".join(line for line in lines if json.loads(line)["event"] == "audit-cell")
+        digests = {
+            "stdout": hashlib.sha256(stdout).hexdigest(),
+            "audit-cell": hashlib.sha256(cells).hexdigest(),
+        }
+        assert digests == self.AUDIT_SHA256

@@ -39,7 +39,7 @@ _MAX_NEWTON = 200
 # Knots of the quantile solve's start, and buckets of its lookup table per knot.
 _KNOTS = 2048
 _BUCKETS_PER_KNOT = 4
-# Points per block of the quantile solve.
+# Points per block of the quantile solve and of the log-density.
 _BLOCK = 8192
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -218,11 +218,20 @@ def _exponents(y, ch: ChannelModel):
 def log_output_density(y, ch: ChannelModel):
     """log f_Y(y), stable far into the tails where the density underflows:
     ``_logsumexp`` of the exponents log P_j - z_j^2 / 2, one component at a
-    time and in component order, minus log(sqrt(2 pi) sigma)."""
+    time and in component order, minus log(sqrt(2 pi) sigma).
+
+    It runs on one block of ``_BLOCK`` points at a time, so its temporaries
+    stay the size of a block. Every step is elementwise, and a block's
+    choice of ``_logsumexp`` branch gives each point the bits of either
+    branch, so no bit moves."""
     arr = _checked(y, "log_output_density")
-    out = _logsumexp(lambda: _exponents(arr, ch))
+    flat = arr.reshape(-1)
+    out = np.empty(flat.shape)
+    for first in range(0, flat.size, _BLOCK):
+        block = flat[first : first + _BLOCK]
+        out[first : first + _BLOCK] = _logsumexp(functools.partial(_exponents, block, ch))
     out -= _LOG_SQRT_2PI + np.log(ch.sigma)
-    return _shaped(arr, out)
+    return _shaped(arr, out.reshape(arr.shape))
 
 
 def output_cdf(y, ch: ChannelModel):

@@ -48,7 +48,7 @@ import yaml
 
 from ._kstwo import kstwo_sf
 from .channel import ChannelModel, transmit
-from .constellation import pam
+from .constellation import draw_symbols, pam
 from .harness import (
     MI_TARGETS,
     ExperimentSpec,
@@ -327,8 +327,6 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     analytic = leakage(transform)
     c = ch.constellation
     order = c.order
-    cdf = np.cumsum(c.priors)
-    cdf /= cdf[-1]
     counts = np.zeros(order, dtype=np.int64)
     groups = -(-order // 4)
     parts: list = [[] for _ in range(groups)]
@@ -340,7 +338,7 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
         size = min(4_000_000, max(50_000, int(1.3 * need / min_delta)))
         x = np.empty(size, dtype=np.min_scalar_type(order - 1))
         for s in range(0, size, AUDIT_BLOCK):
-            _draw_symbols(rng, cdf, x[s : s + AUDIT_BLOCK])
+            draw_symbols(rng, c.priors, x[s : s + AUDIT_BLOCK])
         if groups == 1:
             keys = np.empty(size, dtype=np.uint64)
             parts[0].append(keys)
@@ -386,22 +384,6 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     k_c = int(np.count_nonzero(pc))
     mc -= (k_j - k_r - k_c + 1) / (2.0 * total * np.log(2.0))
     return analytic, mc, ks_min
-
-
-def _draw_symbols(rng, cdf: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with symbols drawn by inversion from ``cdf``.
-
-    ``cdf`` is ``priors.cumsum()`` divided by its last entry, as
-    ``Generator.choice(M, p=priors)`` forms it, and each symbol is the
-    number of inner edges at or below one ``rng.random`` uniform u, the
-    index that choice's ``searchsorted(side="right")`` returns (the last
-    edge is 1 and u < 1). So ``out`` gets choice's symbols and ``rng`` its
-    state, from M - 1 comparisons a sample in place of a binary search.
-    """
-    u = rng.random(out.size)
-    np.greater_equal(u, cdf[0], out=out)
-    for edge in cdf[1:-1]:
-        out += u >= edge
 
 
 def _bin_counts(x: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ __all__ = [
     "decide",
     "demap",
     "bit_partitions",
+    "draw_symbols",
 ]
 
 _PRIOR_SUM_TOL = 1e-12
@@ -297,3 +298,24 @@ def bit_partitions(c: Constellation, l: int) -> tuple[tuple[int, ...], tuple[int
         raise ValueError(f"bit position {l} outside [0, {c.bits_per_symbol})")
     col = c.bits[:, l]
     return tuple(np.flatnonzero(col == 0).tolist()), tuple(np.flatnonzero(col).tolist())
+
+
+def draw_symbols(rng: np.random.Generator, priors, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-D integer array ``out`` with symbol indices drawn from
+    ``priors``, as ``rng.choice(len(priors), size=out.size, p=priors)``
+    draws them, and return it.
+
+    ``choice`` forms cdf = priors.cumsum() divided by its last entry, draws
+    one ``rng.random`` uniform u a symbol and returns
+    ``searchsorted(cdf, u, side="right")``. The last edge is 1 and u < 1, so
+    that index is the number of inner edges at or below u, which this counts
+    in ``out``'s own dtype with M - 1 comparisons a symbol in place of a
+    binary search. So ``out`` gets choice's symbols and ``rng`` its state.
+    """
+    cdf = np.cumsum(priors)
+    cdf /= cdf[-1]
+    u = rng.random(out.size)
+    np.greater_equal(u, cdf[0], out=out)
+    for edge in cdf[1:-1]:
+        out += u >= edge
+    return out

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel, transmit
-from .constellation import Constellation, decide, demap, map_decision_regions
+from .constellation import Constellation, decide, demap, draw_symbols, map_decision_regions
 from .infotheory import MiResult, mi_direct, mi_hard, mi_rrs, transition_matrix
 from .ldpc import decode, load_code, syndrome
 from .metrics import _alpha, bit_lapprs, lappr_batch
@@ -319,7 +319,7 @@ def _frame(cell: _Cell, rng):
     """
     code = load_code(cell.spec.code)
     c = cell.channel.constellation
-    x = rng.choice(c.order, size=-(-code.n // c.bits_per_symbol), p=c.priors)
+    x = draw_symbols(rng, c.priors, np.empty(-(-code.n // c.bits_per_symbol), dtype=np.intp))
     y = transmit(x, cell.channel, rng)
     bits, soft, n = _soft_inputs(cell, x, y)
     target = bits[: code.n]

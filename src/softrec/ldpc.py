@@ -102,9 +102,11 @@ class LdpcCode:
             raise ValueError("variable index out of range")
         if np.bincount(chk_var, minlength=self.n).min() < 1:
             raise ValueError("every variable must appear in at least one check")
-        same_check = np.ones(chk_var.size - 1, dtype=bool)
-        same_check[chk_ptr[1:-1] - 1] = False
-        if np.any(np.diff(chk_var)[same_check] <= 0):
+        # Each edge's variable exceeds the previous one, except at the first
+        # edge of a check.
+        rising = np.greater(chk_var[1:], chk_var[:-1])
+        rising[chk_ptr[1:-1] - 1] = True
+        if not rising.all():
             raise ValueError("variable indices must strictly increase within each check")
         colour = _colour_checks(chk_ptr, chk_var, self.n)
         layer_chk = np.argsort(colour, kind="stable")
@@ -122,7 +124,9 @@ def _edges_of(chk_ptr: np.ndarray, checks: np.ndarray) -> np.ndarray:
     """Edge indices of ``checks``, check by check, in the given order."""
     deg = chk_ptr[checks + 1] - chk_ptr[checks]
     first = np.cumsum(deg) - deg
-    return np.repeat(chk_ptr[checks] - first, deg) + np.arange(int(deg.sum()))
+    edges = np.repeat(chk_ptr[checks] - first, deg)
+    edges += np.arange(edges.size)
+    return edges
 
 
 # Odd 64-bit multiplier (2^64 / golden ratio): c -> c * K mod 2^64 is a
@@ -276,15 +280,18 @@ def decode(code: LdpcCode, lapprs, target, max_iters: int = 100) -> DecodeOutcom
     halved = np.array_equal(post + post, lam)
     if not halved:
         post = lam.copy()
-    # Edge buffers, allocated once; a layer works on its slice of each.
+    # c2v lives on every edge, and a layer works on its slice of it. v2c and
+    # the sign bits live only inside a layer, so one scratch buffer each, as
+    # wide as the widest layer, serves every layer through its prefix.
     c2v = np.zeros(code.edge_count)
-    v2c = np.empty(code.edge_count)
-    sign = np.empty(code.edge_count, dtype=np.uint64)
+    width = int(np.diff(edge_ptr[code.layer_ptr]).max())
+    v2c = np.empty(width)
+    sign = np.empty(width, dtype=np.uint64)
     for it in range(1, max_iters + 1):
         for sl, var, first, d, s in layers:
             # The layer's old c2v is read once, then its slice holds the
             # check update as it is built.
-            x, t, sb = v2c[sl], c2v[sl], sign[sl]
+            x, t, sb = v2c[: var.size], c2v[sl], sign[: var.size]
             tb = t.view(np.uint64)
             np.take(post, var, out=x, mode="clip")  # unbuffered; var is in range
             np.subtract(x, t, out=x)
@@ -458,6 +465,12 @@ def build_staircase_code(group_addresses: list[list[int]], group: int = 360) -> 
     above the largest address. A group row that names one address twice
     would make double edges, and ``LdpcCode`` rejects it.
 
+    Each edge becomes one int64 key, check << shift | variable with
+    shift = n.bit_length(), so every variable fits below the shift and one
+    in-place sort of the keys orders the edges by (check, variable).
+    ``chk_ptr`` counts the keys' checks and ``chk_var`` is their low bits:
+    the build holds the keys, and no sort order or sorted copies.
+
     Parameters
     ----------
     group_addresses : list of list of int
@@ -479,30 +492,28 @@ def build_staircase_code(group_addresses: list[list[int]], group: int = 360) -> 
     k = group * len(group_addresses)
     n = k + m
 
-    chunks_chk = []
-    chunks_var = []
+    shift = n.bit_length()
+    keys = []
     s = np.arange(group, dtype=np.int64)
     for g, row in enumerate(group_addresses):
         if not row:
             raise ValueError(f"group {g} has no addresses")
         addr = np.asarray(row, dtype=np.int64)
-        checks = (addr[None, :] + s[:, None] * q) % m
-        chunks_chk.append(checks.reshape(-1))
-        chunks_var.append(np.repeat(g * group + s, addr.size))
+        key = (addr[None, :] + s[:, None] * q) % m
+        key <<= shift
+        key |= (g * group + s)[:, None]
+        keys.append(key.reshape(-1))
     # Accumulator: check c reads parity c, and parity c-1 for c >= 1.
     par = np.arange(m, dtype=np.int64)
-    chunks_chk.append(par)
-    chunks_var.append(k + par)
-    chunks_chk.append(par[1:])
-    chunks_var.append(k + par[:-1])
+    keys.append(par << shift | (k + par))
+    keys.append(par[1:] << shift | (k + par[:-1]))
 
-    edge_chk = np.concatenate(chunks_chk)
-    edge_var = np.concatenate(chunks_var)
-    order = np.lexsort((edge_var, edge_chk))
-    edge_chk = edge_chk[order]
-    edge_var = edge_var[order]
-    chk_ptr = np.concatenate(([0], np.cumsum(np.bincount(edge_chk, minlength=m))))
-    return LdpcCode(n=n, m=m, chk_ptr=chk_ptr, chk_var=edge_var)
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    chk_ptr = np.concatenate(([0], np.cumsum(np.bincount(key >> shift, minlength=m))))
+    key &= (1 << shift) - 1
+    return LdpcCode(n=n, m=m, chk_ptr=chk_ptr, chk_var=key)
 
 
 # The rate-1/2 group address table: 36 rows of 8 addresses, then 54 rows of

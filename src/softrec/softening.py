@@ -237,8 +237,11 @@ def inverse_and_jacobian(n, i, t: SofteningTransform):
         raise ValueError("metric n must lie in [0, 1]")
     iarr = _indices(i, t.order, "region index")
     nc = np.clip(narr, N_EPS, 1.0 - N_EPS)
-    # hi + nc * (-dF) is hi - nc * dF bit for bit: negation is exact.
-    p = t.ref[iarr] + nc * t.mass[iarr]
+    # hi + nc * (-dF) is hi - nc * dF bit for bit: negation is exact. An
+    # array even for scalar n and i, so the clip can write into it.
+    p = np.asarray(t.ref[iarr] + nc * t.mass[iarr])
     # Guard the open-interval requirement of the quantile against rounding.
-    y = output_quantile(np.clip(p, 1e-300, 1.0 - 1e-16), t.channel)
-    return y, log_output_density(y, t.channel) - np.log(t.deltas[iarr])
+    y = output_quantile(np.clip(p, 1e-300, 1.0 - 1e-16, out=p), t.channel)
+    log_jac = log_output_density(y, t.channel)
+    log_jac -= np.log(t.deltas[iarr])
+    return y, log_jac

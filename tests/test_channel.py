@@ -126,6 +126,38 @@ class TestOutputDensity:
             got = log_output_density(np.array([-np.inf, 0.3, np.inf]), ch4_0db)
         assert got[[0, 2]].tolist() == [-np.inf, -np.inf] and np.isfinite(got[1])
 
+    @pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193, 129_600])
+    def test_log_density_blocks_move_no_bit(self, ch4_0db, size):
+        # Blocks of _BLOCK points give the bits of one pass. With y = 0 (the
+        # ±1 components tie) and -inf (all tie) only in the last block, the
+        # one pass takes _logsumexp's tie branch for every point and the
+        # blocks for the last block alone.
+        y = np.random.default_rng(size).uniform(-12.0, 12.0, size)
+        for ends in ((), (0.0, -np.inf)):
+            y[size - len(ends) :] = ends[:size]
+            got = log_output_density(y, ch4_0db)
+            assert got.shape == y.shape
+            assert got.tobytes() == _one_pass_log_density(y, ch4_0db).tobytes()
+
+    def test_log_density_blocks_keep_the_shape(self, ch4_0db):
+        # the (S, 4) outputs of a frame's quantile solve, and a scalar
+        y = np.random.default_rng(4).normal(0.0, 3.0, (32_400, 4))
+        y[-1, 1] = 0.0
+        got = log_output_density(y, ch4_0db)
+        assert got.shape == y.shape
+        assert got.tobytes() == _one_pass_log_density(y, ch4_0db).tobytes()
+        got = log_output_density(0.0, ch4_0db)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == _one_pass_log_density(0.0, ch4_0db).tobytes()
+
+
+def _one_pass_log_density(y, ch):
+    """log f_Y(y) by one ``_logsumexp`` pass over every point at once."""
+    arr = np.asarray(y, dtype=float)
+    out = channel._logsumexp(lambda: channel._exponents(arr, ch))
+    out -= channel._LOG_SQRT_2PI + np.log(ch.sigma)
+    return out
+
 
 class TestOutputCdf:
     def test_frozen_value(self, ch4_0db):

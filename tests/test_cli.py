@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,26 +605,7 @@ class TestAuditCellShortcuts:
         assert np.concatenate(ys).tobytes() == y.tobytes()
         assert parts.bit_generator.state == full.bit_generator.state
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=64),
-        size=st.integers(0, 3_000),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_comparison_draw_is_choice(self, weights, size, seed):
-        # the cell's symbol draw gives Generator.choice's symbols and state
-        priors = np.array(weights) / sum(weights)
-        cdf = np.cumsum(priors)
-        cdf /= cdf[-1]
-        want_rng = np.random.default_rng(seed)
-        want = want_rng.choice(priors.size, size=size, p=priors)
-        got_rng = np.random.default_rng(seed)
-        got = np.empty(size, dtype=np.min_scalar_type(priors.size - 1))
-        cli._draw_symbols(got_rng, cdf, got)
-        assert got.tolist() == want.tolist()
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-    def test_cell_memory_stays_blocked(self):
+    def test_cell_memory_stays_blocked(self, traced_peak):
         # The -10 dB cell draws 916,959 samples; whole-round arrays took a
         # 44.9 MB tracemalloc peak (49 bytes a sample), the blocked cell
         # with per-decision parts 11.93 MB, and the one sorted key array
@@ -634,13 +614,9 @@ class TestAuditCellShortcuts:
         ch = ChannelModel(c, noise_variance_for_snr_db(-10.0, c))
         t = build_transform(ch, "alternating")
         cli._audit_cell(ch, t, np.random.default_rng(0), 100)  # first-call allocations
-        tracemalloc.start()
-        try:
-            cli._audit_cell(ch, t, np.random.default_rng(0), 100_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert traced_peak(
+            lambda: cli._audit_cell(ch, t, np.random.default_rng(0), 100_000)
+        ) < 20e6
 
 
 class TestParserSmoke:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from softrec.channel import transmit
@@ -10,6 +10,7 @@ from softrec.constellation import (
     bit_partitions,
     decide,
     demap,
+    draw_symbols,
     gray_bitmap,
     map_decision_regions,
     pam,
@@ -283,3 +284,25 @@ def test_index_rule(t_base, entry, x, match):
         _INDEX_TAKERS[entry](x, t_base, rng)
     # transmit fails before it draws any noise
     assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+class TestDrawSymbols:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=64),
+        size=st.integers(0, 3_000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(weights=[1.0] * 4, size=32_400, seed=7)  # one PAM-4 frame of the 64800-bit code
+    def test_comparison_draw_is_choice(self, weights, size, seed):
+        # Generator.choice's symbols and state, in the audit's smallest
+        # unsigned type and in the frame's intp alike
+        priors = np.array(weights) / sum(weights)
+        want_rng = np.random.default_rng(seed)
+        want = want_rng.choice(priors.size, size=size, p=priors)
+        for dtype in (np.min_scalar_type(priors.size - 1), np.intp):
+            got_rng = np.random.default_rng(seed)
+            out = np.empty(size, dtype=dtype)
+            assert draw_symbols(got_rng, priors, out) is out
+            assert out.tolist() == want.tolist()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -563,6 +563,58 @@ class TestStaircase:
             build_staircase_code([[0, 0]], group=4)
 
 
+class TestWorkingSet:
+    """Peaks of the memory traced during one call on one 3.5 dB frame."""
+
+    def test_decode_keeps_layer_scratch(self, frame_35db, traced_peak):
+        # per-edge v2c and sign buffers took a 7.34 MB peak; one scratch
+        # buffer each, as wide as the widest layer, 4.07 MB
+        code, _, _, _, lapprs, syn = frame_35db
+        out = []
+        assert traced_peak(lambda: out.append(decode(code, lapprs, syn))) < 5.5e6
+        assert out[0].converged
+
+    def test_code_build_sorts_one_key(self, traced_peak):
+        # the chunk lists, a lexsort order and the sorted copies held
+        # together took a 14.27 MB peak; one sorted int64 key, 7.49 MB
+        assert traced_peak(dvbs2_r12) < 10e6
+
+
+def _lexsort_build(group_addresses, group):
+    """(chk_ptr, chk_var) of ``build_staircase_code`` by a lexsort of the
+    (check, variable) pairs of every edge."""
+    q = max(a for row in group_addresses for a in row) // group + 1
+    m = q * group
+    k = group * len(group_addresses)
+    chk, var = [], []
+    for g, row in enumerate(group_addresses):
+        for s in range(group):
+            chk += [(a + s * q) % m for a in row]
+            var += [g * group + s] * len(row)
+    chk += list(range(m)) + list(range(1, m))
+    var += [k + c for c in range(m)] + [k + c for c in range(m - 1)]
+    chk, var = np.array(chk), np.array(var)
+    order = np.lexsort((var, chk))
+    return np.concatenate(([0], np.cumsum(np.bincount(chk, minlength=m)))), var[order]
+
+
+class TestStaircaseKey:
+    @given(
+        group=st.integers(1, 12),
+        table=st.lists(st.sets(st.integers(0, 200), min_size=1, max_size=6), min_size=1,
+                       max_size=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lexsort(self, group, table):
+        # rows of distinct addresses in any order; the code's rules on
+        # 4-cycles and degrees do not matter to the sort
+        table = [sorted(row, key=lambda a: (a * 7919) % 211) for row in table]
+        code = build_staircase_code(table, group=group)
+        chk_ptr, chk_var = _lexsort_build(table, group)
+        np.testing.assert_array_equal(code.chk_ptr, chk_ptr)
+        np.testing.assert_array_equal(code.chk_var, chk_var)
+
+
 class TestDvbs2Profile:
     def test_tanner_profile(self):
         code = dvbs2_r12()

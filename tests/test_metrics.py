@@ -130,6 +130,16 @@ class TestLappr:
                 lappr_batch([0.3, 0.4, 0.5], bad_j, t_base)
 
 
+    def test_frame_memory_stays_blocked(self, frame_35db, traced_peak):
+        # the one-pass log-density, an out-of-place clip of p and an
+        # out-of-place Jacobian took a 6.68 MB peak on a 32,400-slot frame;
+        # blocked and in place, 4.41 MB
+        _, t, n, x, lapprs, _ = frame_35db
+        out = []
+        assert traced_peak(lambda: out.append(lappr_batch(n, x, t))) < 5.5e6
+        assert out[0].reshape(-1).tobytes() == lapprs.tobytes()
+
+
 class TestBitLapprs:
     def test_rejects_rows_without_a_ratio(self, pam4):
         # a row of -inf, a row with a NaN or a row of +inf leaves every bit

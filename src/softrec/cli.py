@@ -69,8 +69,9 @@ ANALYTIC_LEAKAGE_MAX = 1e-6
 MC_LEAKAGE_MAX = 1e-3
 KS_LEVEL = 0.01
 MC_BINS = 20
-# Samples an audit cell draws, softens and splits by decision at a time.
-AUDIT_BLOCK = 65_536
+# Samples an audit cell draws, softens and keys at a time, and the KS
+# statistic scans at a time.
+AUDIT_BLOCK = 16_384
 
 
 _LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -300,29 +301,30 @@ def _cmd_ber_sweep(resolved: dict) -> int:
 def _audit_cell(ch, transform, rng, samples_per_decision: int):
     """One (snr, config) audit cell: returns (analytic, mc, min KS p-value).
 
-    Each draw round first draws all its symbols, ``AUDIT_BLOCK`` at a time,
-    into one array of the smallest unsigned type that holds them. Then,
-    block by block, it sends them through the channel and softens them, and
-    writes one ``uint64`` sort key per sample, ``(d & 3) << 62 | bits(n)``.
-    ``soften`` returns n in [0, 1] with no -0.0, so the IEEE pattern of n
-    read as an unsigned integer lies below 2**62 and orders as n does, and
-    the key orders by (decision, metric). Consecutive blocks of the symbol
-    draw and of ``normal`` draw what one full-size call draws, and
-    ``soften`` is elementwise, so the keys are bit for bit those of a cell
-    drawn in one piece.
+    Each draw round first draws all its symbols, ``AUDIT_BLOCK`` at a time.
+    Then, block by block, it sends them through the channel and softens
+    them, and writes one ``uint64`` sort key per sample,
+    ``(d & 3) << 62 | bits(n)``. ``soften`` returns n in [0, 1] with no
+    -0.0, so the IEEE pattern of n read as an unsigned integer lies below
+    2**62 and orders as n does, and the key orders by (decision, metric).
+    Consecutive blocks of the symbol draw and of ``normal`` draw what one
+    full-size call draws, and ``soften`` is elementwise, so the keys are
+    bit for bit those of a cell drawn in one piece.
 
-    Up to PAM-4 the keys go straight into one array per round. A larger
-    order keeps one list of parts per four decisions, split per block by
-    ``d >> 2``. After the last round each such array (the rounds joined if
-    there were several) is sorted once, in place, and its top two bits
-    cleared; each decision's metrics are then the sorted float slice
-    between the cumulative decision counts. Both tests read that slice:
-    its row of the (decision, metric bin) histogram is a ``searchsorted``
-    of the bin edges, and the KS statistic is a pass over it. A PAM-4 cell
-    so holds 1 byte per drawn sample for the symbol and 8 for its key, plus
-    one block's temporaries and one KS temporary the size of a decision's
-    slice: an 11.9 MB peak, 13 bytes a sample, at -10 dB, where a cell
-    draws 916,959 samples.
+    Up to PAM-4 the symbols are drawn straight into the round's key array,
+    and each block's keys overwrite its symbols once ``transmit`` has
+    gathered their points. A larger order draws into one array of the
+    smallest unsigned type that holds its symbols and keeps one list of key
+    parts per four decisions, split per block by ``d >> 2``. After the last
+    round each key array (the rounds joined if there were several) is
+    sorted once, in place, and its top two bits cleared; each decision's
+    metrics are then the sorted float slice between the cumulative decision
+    counts. Both tests read that slice: its row of the (decision, metric
+    bin) histogram is a ``searchsorted`` of the bin edges, and the KS
+    statistic is a pass over it, a block at a time. A PAM-4 cell so holds 8
+    bytes per drawn sample, its key, plus one block's temporaries: an
+    8.26 MB tracemalloc peak at -10 dB, where a cell draws 916,959 samples
+    (7.34 MB of keys).
     """
     analytic = leakage(transform)
     c = ch.constellation
@@ -336,12 +338,15 @@ def _audit_cell(ch, transform, rng, samples_per_decision: int):
     while counts.min() < samples_per_decision:
         need = samples_per_decision - int(counts.min())
         size = min(4_000_000, max(50_000, int(1.3 * need / min_delta)))
-        x = np.empty(size, dtype=np.min_scalar_type(order - 1))
+        if groups == 1:
+            # transmit gathers a block's points before its keys overwrite
+            # its symbols, so the symbols can live in the key array
+            x = keys = np.empty(size, dtype=np.uint64)
+            parts[0].append(keys)
+        else:
+            x = np.empty(size, dtype=np.min_scalar_type(order - 1))
         for s in range(0, size, AUDIT_BLOCK):
             draw_symbols(rng, c.priors, x[s : s + AUDIT_BLOCK])
-        if groups == 1:
-            keys = np.empty(size, dtype=np.uint64)
-            parts[0].append(keys)
         for s in range(0, size, AUDIT_BLOCK):
             n, d = soften(transmit(x[s : s + AUDIT_BLOCK], ch, rng), transform)
             counts += np.bincount(d, minlength=order)
@@ -409,18 +414,21 @@ def _ks_uniform(x: np.ndarray) -> tuple[float, float]:
     bit for bit without importing scipy.stats.
     """
     size = x.size
-    # One temporary the size of x at a time; the in-place steps round as
-    # the expressions (k + 1) / size - x and x - k / size do.
-    gap = np.arange(1.0, size + 1)
-    gap /= size
-    gap -= x
-    d_plus = np.max(gap)
-    del gap
-    gap = np.arange(0.0, size)
-    gap /= size
-    np.subtract(x, gap, out=gap)
-    d_minus = np.max(gap)
-    stat = float(max(d_plus, d_minus))
+    # One block's temporary at a time. Its k are the integer floats of the
+    # full arange, the in-place steps round as (k + 1) / size - x and
+    # x - k / size do, and a max of block maxima is the max.
+    stat = -np.inf
+    for s in range(0, size, AUDIT_BLOCK):
+        block = x[s : s + AUDIT_BLOCK]
+        gap = np.arange(s + 1.0, s + block.size + 1)
+        gap /= size
+        gap -= block
+        stat = max(stat, np.max(gap))
+        gap = np.arange(float(s), s + block.size)
+        gap /= size
+        np.subtract(block, gap, out=gap)
+        stat = max(stat, np.max(gap))
+    stat = float(stat)
     return stat, kstwo_sf(stat, size)
 
 

@@ -115,8 +115,10 @@ def lappr_batch(n, j, t: SofteningTransform, alpha: float = 1.0) -> np.ndarray:
         Multiplicative scaling applied before clamping; finite and > 0,
         since an infinite one times an equal pair of log-sums is NaN, and
         not a bool, which would read as 1 or 0. 1.0
-        leaves the log-ratios untouched. 0.65 is the documented tuned
-        preset for the bundled rate-1/2 decoder.
+        leaves the log-ratios untouched. On the 64800-bit rate-1/2 code
+        this exact sum-product decoder needs 2.884 dB at alpha = 1 and
+        3.380 dB at alpha = 0.65 in the full BER profile (half-FER
+        crossings, PAM-4, seed 2026; see the README).
 
     Returns
     -------

@@ -521,11 +521,26 @@ class TestAuditCellShortcuts:
         want = kstest(x, "uniform")
         assert cli._ks_uniform(np.sort(x)) == (want.statistic, want.pvalue)
 
-    @pytest.mark.parametrize("size, power", [(150_000, 1.0), (150_000, 1.02), (3, 1.0)])
+    @pytest.mark.parametrize(
+        "size, power",
+        [(150_000, 1.0), (150_000, 1.02), (3, 1.0)]
+        # around the KS pass's block edges: a short block, whole blocks only,
+        # a one-sample last block and a short last block
+        + [(k * cli.AUDIT_BLOCK + e, 1.0) for k, e in ((1, -1), (1, 0), (1, 1), (3, 5))],
+    )
     def test_ks_matches_kstest_on_large_samples(self, size, power):
         x = np.random.default_rng(size).random(size) ** power
         want = kstest(x, "uniform")
         assert cli._ks_uniform(np.sort(x)) == (want.statistic, want.pvalue)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_METRIC, min_size=1, max_size=60))
+    def test_ks_matches_kstest_over_many_blocks(self, xs):
+        x = np.array(xs)
+        want = kstest(x, "uniform")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "AUDIT_BLOCK", 7)
+            assert cli._ks_uniform(np.sort(x)) == (want.statistic, want.pvalue)
 
     @pytest.mark.parametrize("cfg", ["base", "alternating"])
     @pytest.mark.parametrize("snr", [-10.0, 0.0, 10.0])
@@ -605,18 +620,23 @@ class TestAuditCellShortcuts:
         assert np.concatenate(ys).tobytes() == y.tobytes()
         assert parts.bit_generator.state == full.bit_generator.state
 
-    def test_cell_memory_stays_blocked(self, traced_peak):
-        # The -10 dB cell draws 916,959 samples; whole-round arrays took a
-        # 44.9 MB tracemalloc peak (49 bytes a sample), the blocked cell
-        # with per-decision parts 11.93 MB, and the one sorted key array
-        # 11.93 MB.
+    def test_cell_memory_stays_blocked(self, traced_peak, monkeypatch):
+        # The -10 dB cell draws 916,959 samples. Its keys take 8 bytes a
+        # sample; with a symbol array beside them the peak was 11.93 MB
+        # (13 bytes a sample), and with the symbols in the keys 8.26 MB.
         c = pam(4)
         ch = ChannelModel(c, noise_variance_for_snr_db(-10.0, c))
         t = build_transform(ch, "alternating")
         cli._audit_cell(ch, t, np.random.default_rng(0), 100)  # first-call allocations
-        assert traced_peak(
-            lambda: cli._audit_cell(ch, t, np.random.default_rng(0), 100_000)
-        ) < 20e6
+        drawn = []
+
+        def counted(x, ch, rng):
+            drawn.append(x.size)
+            return transmit(x, ch, rng)
+
+        monkeypatch.setattr(cli, "transmit", counted)
+        peak = traced_peak(lambda: cli._audit_cell(ch, t, np.random.default_rng(0), 100_000))
+        assert peak < 8 * sum(drawn) + 2e6
 
 
 class TestParserSmoke:

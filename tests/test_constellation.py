@@ -296,11 +296,11 @@ class TestDrawSymbols:
     @example(weights=[1.0] * 4, size=32_400, seed=7)  # one PAM-4 frame of the 64800-bit code
     def test_comparison_draw_is_choice(self, weights, size, seed):
         # Generator.choice's symbols and state, in the audit's smallest
-        # unsigned type and in the frame's intp alike
+        # unsigned type and its uint64 key array, and in the frame's intp
         priors = np.array(weights) / sum(weights)
         want_rng = np.random.default_rng(seed)
         want = want_rng.choice(priors.size, size=size, p=priors)
-        for dtype in (np.min_scalar_type(priors.size - 1), np.intp):
+        for dtype in (np.min_scalar_type(priors.size - 1), np.uint64, np.intp):
             got_rng = np.random.default_rng(seed)
             out = np.empty(size, dtype=dtype)
             assert draw_symbols(got_rng, priors, out) is out
